@@ -31,7 +31,6 @@ from .parallel import (
     YieldEngine,
     default_engine,
     resolve_workers,
-    run_seeds_parallel,
     shutdown_default_engines,
 )
 from .serialize import circuit_from_json, circuit_to_json
@@ -77,7 +76,6 @@ __all__ = [
     "default_engine",
     "measure_yield",
     "resolve_workers",
-    "run_seeds_parallel",
     "shutdown_default_engines",
     "yield_curve",
     "Configuration",

@@ -289,8 +289,8 @@ class BatchReport:
 
     ``batched_lanes`` counts seeds that completed entirely inside a batch;
     ``fallback_seeds`` lists, in seed order, every seed classified by the
-    sequential drain instead (divergence replays, calibration seeds,
-    ineligible designs); ``divergence`` tallies why, keyed by cause
+    sequential drain instead (divergence replays, ineligible designs);
+    ``divergence`` tallies why, one count per fallback seed, keyed by cause
     (``grouping`` / ``order`` / ``coincidence`` / ``tie-break`` /
     ``violation`` / ``overflow`` / ``error`` / ``ineligible``).
     """

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
-from .batchsim import BatchReport
+from .batchsim import BatchReport, run_batch
 from .circuit import Circuit
 from .errors import PylseError
 from .parallel import (
@@ -25,10 +25,8 @@ from .parallel import (
     default_engine,
     merge_stats,
     resolve_workers,
-    run_chunk_batched,
-    run_chunk_stats_batched,
 )
-from .simulation import Events
+from .simulation import Events, Simulation
 
 if TYPE_CHECKING:  # layering: core never imports repro.obs at runtime
     from ..obs.metrics import SimMetrics
@@ -55,27 +53,20 @@ class YieldResult:
     #: ran with ``collect_stats=True`` (None otherwise).
     stats: Optional["SimMetrics"] = None
     # Vectorized-drain observability (repro.core.batchsim). Excluded from
-    # equality: two backends producing the same outcomes are equal results
-    # even if one batched more lanes (e.g. the adaptive engine classifies
-    # a calibration seed outside any batch).
+    # equality: two runs producing the same outcomes are equal results even
+    # if their batches were cut differently (e.g. one batch in-process vs
+    # one per pool chunk), which can change which lanes diverge.
     #: seeds classified entirely inside a vectorized batch.
     batched_lanes: int = field(default=0, compare=False)
     #: seeds replayed on the per-seed reference drain, in seed order.
     fallback_seeds: List[int] = field(default_factory=list, compare=False)
-    #: divergence cause -> count for the replayed seeds (empty when every
-    #: fallback was a non-divergence, e.g. calibration or batch=0).
+    #: divergence cause -> count for the replayed seeds; the counts sum to
+    #: ``len(fallback_seeds)`` (with ``batch=0`` both are empty).
     divergence: Dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
     def yield_fraction(self) -> float:
         return self.passed / self.runs if self.runs else 0.0
-
-
-#: How to execute a sweep: an explicit :class:`YieldEngine`, a policy
-#: string (``"auto"`` — adaptive engine when ``workers > 1``; ``"pool"``
-#: — force the process pool; ``"serial"`` — force the in-process
-#: reference path), or ``None`` (same as ``"auto"``).
-EngineSpec = Union[YieldEngine, str, None]
 
 
 def measure_yield(
@@ -85,8 +76,7 @@ def measure_yield(
     seeds: Sequence[int] = tuple(range(50)),
     workers: int = 1,
     collect_stats: bool = False,
-    engine: EngineSpec = None,
-    min_seeds_parallel: Optional[int] = None,
+    engine: Optional[YieldEngine] = None,
     batch: Union[int, str, None] = None,
 ) -> YieldResult:
     """Run the design once per seed at the given noise level.
@@ -100,23 +90,20 @@ def measure_yield(
     by seed, so a duplicate would silently overwrite an earlier outcome —
     duplicates are rejected up front instead.
 
-    ``workers`` shards the seed list across a persistent process pool
-    (:class:`repro.core.parallel.YieldEngine`): ``1`` (the default) is the
-    in-process reference path, ``None``/``0`` means one worker per CPU.
-    Repeated calls with the same worker count reuse one cached engine —
-    and therefore one warm pool — so sweeps like :func:`yield_curve` and
-    :func:`critical_sigma` amortize pool startup across calls. Parallel
-    runs are bit-identical to sequential ones for the same seed list, but
-    require ``factory`` and ``predicate`` to be picklable (module-level
-    callables).
+    ``workers`` picks the path (:mod:`repro.core.parallel`): ``1`` (the
+    default) elaborates once and runs every seed in-process; ``N > 1``
+    shards two or more seeds across the process pool of a persistent
+    :class:`repro.core.parallel.YieldEngine`; ``None``/``0`` means one
+    worker per CPU. Repeated calls with the same worker count reuse one
+    cached engine — and therefore one warm pool — so sweeps like
+    :func:`yield_curve` and :func:`critical_sigma` amortize pool startup
+    across calls. Parallel runs are bit-identical to sequential ones for
+    the same seed list, but require ``factory`` and ``predicate`` to be
+    picklable (module-level callables).
 
-    ``engine`` selects the backend: a :class:`YieldEngine` instance (its
-    pool is reused across calls; the ``workers`` argument is then
-    ignored), ``"auto"``/``None`` (cached default engine, adaptive serial
-    fallback for sweeps too small to amortize pool overhead), ``"pool"``
-    (force the process pool), or ``"serial"`` (force the sequential
-    reference path). ``min_seeds_parallel`` overrides the adaptive
-    engine's floor: seed lists shorter than it never use the pool.
+    ``engine`` passes an explicit :class:`YieldEngine` instead (its pool
+    is reused across calls; the ``workers`` argument is then ignored);
+    ``None`` uses the cached default engine for ``workers``.
 
     ``collect_stats=True`` attaches a metrics-only observer
     (:mod:`repro.obs`) to every run and puts the seed-order aggregate on
@@ -146,46 +133,26 @@ def measure_yield(
             "earlier outcome)"
         )
     workers = resolve_workers(workers)
-    policy: Optional[str] = None
-    resolved_engine: Optional[YieldEngine] = None
-    if isinstance(engine, YieldEngine):
-        resolved_engine = engine
-    elif engine in (None, "auto", "pool"):
-        policy = None if engine in (None, "auto") else "pool"
-        if workers > 1 and len(seeds) > 1:
-            resolved_engine = default_engine(workers)
-    elif engine != "serial":
+    if engine is not None and not isinstance(engine, YieldEngine):
         raise PylseError(
-            f"unknown engine {engine!r}: expected a YieldEngine instance, "
-            "'auto', 'pool', 'serial', or None"
+            f"unknown engine {engine!r}: expected a YieldEngine instance "
+            "or None"
         )
-    stats: Optional["SimMetrics"] = None
+    if engine is None and workers > 1 and len(seeds) > 1:
+        engine = default_engine(workers)
     report: BatchReport
-    if resolved_engine is not None:
-        outcomes, stats = resolved_engine.run(
-            factory,
-            predicate,
-            sigma,
-            seeds,
-            collect_stats=collect_stats,
-            policy=policy,
-            min_seeds_parallel=min_seeds_parallel,
+    if engine is not None:
+        outcomes, stats = engine.run(
+            factory, predicate, sigma, seeds, collect_stats=collect_stats,
             batch=batch,
         )
-        report = resolved_engine.last_report
-    elif collect_stats:
-        outcomes, per_seed, report = run_chunk_stats_batched(
-            factory, predicate, sigma, seeds, batch
+        report = engine.last_report
+    else:
+        outcomes, per_seed, report = run_batch(
+            Simulation(factory()), predicate, sigma, seeds,
+            collect_stats=collect_stats, batch=batch,
         )
         stats = merge_stats(per_seed)
-    else:
-        # Elaborate + compile once, then drain all seeds through the
-        # vectorized batched loop (element-wise identical to per-seed
-        # simulation — tests/test_differential.py). This is the
-        # workers=1 production path.
-        outcomes, report = run_chunk_batched(
-            factory, predicate, sigma, seeds, batch
-        )
     if len(outcomes) != len(seeds):
         # zip() would silently truncate and shift outcomes onto the wrong
         # seeds; the per-chunk guard in repro.core.parallel names the
@@ -225,7 +192,7 @@ def yield_curve(
     sigmas: Sequence[float],
     seeds: Sequence[int] = tuple(range(25)),
     workers: int = 1,
-    engine: EngineSpec = None,
+    engine: Optional[YieldEngine] = None,
     batch: Union[int, str, None] = None,
 ) -> List[YieldResult]:
     """Yield at each noise level, for plotting or tabulation.
@@ -250,7 +217,7 @@ def critical_sigma(
     seeds: Sequence[int] = tuple(range(20)),
     iterations: int = 6,
     workers: int = 1,
-    engine: EngineSpec = None,
+    engine: Optional[YieldEngine] = None,
     batch: Union[int, str, None] = None,
     measure: Optional[Callable[..., YieldResult]] = None,
 ) -> Optional[float]:

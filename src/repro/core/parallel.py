@@ -1,44 +1,38 @@
-"""Parallel Monte-Carlo execution: a persistent seed-sharded worker pool.
+"""Parallel Monte-Carlo execution: one seed-sharded path per worker count.
 
 Section 5.2's yield sweeps re-run the same design once per seed; every run
-is independent, so the sweep shards its seed list into contiguous chunks
-and farms them out to a ``concurrent.futures`` process pool.
+is independent. There is one way to run such a sweep for each worker
+count:
 
-The pool lives inside a :class:`YieldEngine`, which is built to be
-*reused*: one ``ProcessPoolExecutor`` is created lazily on the first
-parallel run and kept warm across every subsequent ``measure_yield`` /
-``yield_curve`` / ``critical_sigma`` call that uses the same engine (the
-module-level :func:`default_engine` cache, keyed by worker count, makes
-this automatic). Re-creating a pool per call — the pre-engine design —
-made 200-seed sweeps *slower* than sequential on multi-core hosts because
-interpreter spawn plus per-chunk pickling of the circuit factory swamped
-the simulation work.
+* ``workers=1`` elaborates the design once and classifies every seed
+  in-process: ``run_batch(Simulation(factory()), ...)`` (see
+  :func:`repro.core.batchsim.run_batch`);
+* ``workers > 1`` with at least two seeds shards the seed list into
+  contiguous chunks and farms them out to the process pool of a
+  persistent :class:`YieldEngine`, whose single worker task
+  (:func:`_pool_chunk`) runs the very same ``run_batch`` call.
 
-Three further costs are amortized away:
-
-* ``factory`` and ``predicate`` are shipped to each worker **once**, via
-  the pool ``initializer``, instead of being pickled into every chunk;
-* each worker elaborates the circuit **once** and re-simulates it per
-  seed through the :meth:`~repro.core.simulation.Simulation.reset` hook
-  (element state is per-run, so a reset run is bit-identical to a fresh
-  elaboration — ``tests/test_determinism.py`` locks this);
-* an adaptive serial fallback runs small sweeps in-process when the
-  estimated work (seeds x a per-task calibrated per-seed cost) cannot
-  amortize pool overhead, so parallel mode is never a pessimization.
+The pool is created lazily on the first parallel run and kept warm across
+every later ``measure_yield`` / ``yield_curve`` / ``critical_sigma`` call
+on the same engine (the module-level :func:`default_engine` cache, keyed
+by worker count, makes this automatic). The pickled ``(factory,
+predicate)`` task travels with each chunk, and a worker re-elaborates only
+when those bytes differ from its previous chunk's, so a sweep re-uses one
+elaborated circuit per worker and a change of design never re-forks the
+pool.
 
 Robustness: a worker crash (``BrokenProcessPool``) triggers a loud
 warning, one retry on a fresh pool, and — if that also fails — graceful
-degradation to the sequential reference path for the remaining chunks
-(and for subsequent calls on the same engine).
+degradation to the in-process path for the remaining chunks (and for
+subsequent calls on the same engine).
 
 Determinism contract: chunks are contiguous slices of the caller's seed
 list and results are merged back in chunk order, so the outcome sequence —
 and therefore every :class:`~repro.core.montecarlo.YieldResult` field,
 including the insertion order of the ``failures`` dict — is bit-identical
-to running the same seed list sequentially, on every backend path
-(warm pool, cold pool, calibration prefix, serial fallback, crash
-degradation). The sequential path in :mod:`repro.core.montecarlo` stays
-the reference implementation (``workers=1``).
+to running the same seed list in-process, on every path (warm pool, cold
+pool, crash degradation). :func:`classify_seed`, one fresh circuit per
+seed, stays the definitional reference the tests compare against.
 
 Process pools pickle their tasks, so ``factory`` and ``predicate`` must be
 module-level callables (or otherwise picklable objects); lambdas and
@@ -52,7 +46,6 @@ import atexit
 import os
 import pickle
 import threading
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -82,16 +75,20 @@ from .simulation import Events, Simulation
 if TYPE_CHECKING:  # layering: core never imports repro.obs at runtime
     from ..obs.metrics import SimMetrics
 
+#: Pool chunks per worker: a few chunks each keep both workers busy to the
+#: end of a sweep when per-seed cost varies, at little dispatch cost.
+CHUNKS_PER_WORKER = 4
+
 
 def mc_variability(circuit, sigma: float) -> dict:
-    """The ``variability`` argument every Monte-Carlo backend passes.
+    """The ``variability`` argument of the per-seed reference.
 
     Batch-eligible designs (see :func:`repro.core.batchsim.batch_eligible`)
     get the counter noise scheme — the per-(seed, node) streams the
-    vectorized drain consumes — so batched, per-seed, pooled, and serial
-    sweeps all draw identical noise for identical seeds and stay mutually
-    bit-identical. Ineligible designs keep the original python-rng scheme
-    on every backend.
+    vectorized drain consumes — so :func:`classify_seed` draws the same
+    noise as :func:`run_batch` for the same seed. Ineligible designs keep
+    the original python-rng scheme, which ``run_batch`` also replays them
+    under.
     """
     if batch_eligible(compile_circuit(circuit)):
         return {"stddev": sigma, "scheme": "counter"}
@@ -106,8 +103,8 @@ def classify_seed(
 ) -> str:
     """One Monte-Carlo trial: build, simulate under noise, judge.
 
-    This is the unit of work shared by the sequential and parallel
-    backends, which is what makes their results definitionally identical.
+    The fresh-circuit-per-seed reference: every Monte-Carlo path must
+    produce, seed for seed, the outcome this function returns.
     """
     circuit = factory()
     try:
@@ -119,178 +116,12 @@ def classify_seed(
     return OK if predicate(events) else MIS_BEHAVED
 
 
-def run_chunk(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seeds: Sequence[int],
-) -> List[str]:
-    """Classify a contiguous chunk of seeds (the reference per-chunk task)."""
-    return [classify_seed(factory, predicate, sigma, seed) for seed in seeds]
-
-
-def classify_seed_stats(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seed: int,
-) -> Tuple[str, "SimMetrics"]:
-    """:func:`classify_seed` plus this run's per-cell metrics.
-
-    A fresh metrics-only observer (provenance would grow a graph per run
-    for nothing) rides along on the simulation; its ``SimMetrics`` is
-    returned even when the run ends in a timing violation, so violation
-    counts and the partial activity leading up to the failure are kept.
-    """
-    from ..obs import Observer
-
-    observer = Observer(provenance=False, metrics=True)
-    circuit = factory()
-    try:
-        events = Simulation(circuit).simulate(
-            variability=mc_variability(circuit, sigma), seed=seed,
-            observer=observer,
-        )
-    except SimulationError:
-        return VIOLATION, observer.metrics
-    outcome = OK if predicate(events) else MIS_BEHAVED
-    return outcome, observer.metrics
-
-
-def run_chunk_stats(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seeds: Sequence[int],
-) -> Tuple[List[str], List["SimMetrics"]]:
-    """Stats-collecting reference chunk task: outcomes plus *per-seed* metrics.
-
-    Metrics are deliberately not pre-merged inside the chunk: histogram
-    totals are float sums, so the merge association order matters for
-    bit-determinism. Shipping one ``SimMetrics`` per seed lets the parent
-    fold them in seed order — the same association the sequential backend
-    uses (see :func:`merge_stats`).
-    """
-    outcomes: List[str] = []
-    stats: List["SimMetrics"] = []
-    for seed in seeds:
-        outcome, metrics = classify_seed_stats(factory, predicate, sigma, seed)
-        outcomes.append(outcome)
-        stats.append(metrics)
-    return outcomes, stats
-
-
-def run_chunk_reused(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seeds: Sequence[int],
-) -> List[str]:
-    """:func:`run_chunk` that elaborates and compiles the circuit once.
-
-    Each seed re-simulates the same :class:`Simulation` through its
-    ``reset`` hook — bit-identical to a fresh ``factory()`` per seed
-    (locked by ``tests/test_determinism.py``) while paying elaboration and
-    ``compile_circuit`` exactly once per chunk. This is the in-process
-    sequential path used by the engine and ``measure_yield(workers=1)``;
-    :func:`run_chunk` stays as the definitional reference.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        return []
-    sim = Simulation(factory())
-    variability = mc_variability(sim.circuit, sigma)
-    outcomes: List[str] = []
-    for seed in seeds:
-        sim.reset()
-        try:
-            events = sim.simulate(variability=variability, seed=seed)
-        except SimulationError:
-            outcomes.append(VIOLATION)
-            continue
-        outcomes.append(OK if predicate(events) else MIS_BEHAVED)
-    return outcomes
-
-
-def run_chunk_stats_reused(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seeds: Sequence[int],
-) -> Tuple[List[str], List["SimMetrics"]]:
-    """:func:`run_chunk_reused` plus one fresh ``SimMetrics`` per seed."""
-    from ..obs import Observer
-
-    seeds = list(seeds)
-    if not seeds:
-        return [], []
-    sim = Simulation(factory())
-    variability = mc_variability(sim.circuit, sigma)
-    outcomes: List[str] = []
-    stats: List["SimMetrics"] = []
-    for seed in seeds:
-        sim.reset()
-        observer = Observer(provenance=False, metrics=True)
-        try:
-            events = sim.simulate(
-                variability=variability, seed=seed, observer=observer
-            )
-        except SimulationError:
-            outcomes.append(VIOLATION)
-            stats.append(observer.metrics)
-            continue
-        outcomes.append(OK if predicate(events) else MIS_BEHAVED)
-        stats.append(observer.metrics)
-    return outcomes, stats
-
-
-def run_chunk_batched(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seeds: Sequence[int],
-    batch: Union[int, str, None] = None,
-) -> Tuple[List[str], BatchReport]:
-    """:func:`run_chunk_reused` through the vectorized batched drain.
-
-    Element-wise identical to the per-seed path (divergent lanes replay on
-    the reference drain; ``tests/test_differential.py`` locks this) and
-    ~an order of magnitude faster on batch-eligible designs. This is the
-    ``measure_yield(workers=1)`` production path.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        return [], BatchReport()
-    sim = Simulation(factory())
-    outcomes, _stats, report = run_batch(
-        sim, predicate, sigma, seeds, collect_stats=False, batch=batch
-    )
-    return outcomes, report
-
-
-def run_chunk_stats_batched(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seeds: Sequence[int],
-    batch: Union[int, str, None] = None,
-) -> Tuple[List[str], List["SimMetrics"], BatchReport]:
-    """:func:`run_chunk_batched` plus one ``SimMetrics`` per seed."""
-    seeds = list(seeds)
-    if not seeds:
-        return [], [], BatchReport()
-    sim = Simulation(factory())
-    return run_batch(
-        sim, predicate, sigma, seeds, collect_stats=True, batch=batch
-    )
-
-
 def merge_stats(stats: Sequence["SimMetrics"]) -> Optional["SimMetrics"]:
     """Fold per-run metrics left-to-right into a fresh aggregate (or None).
 
-    Both Monte-Carlo backends aggregate through this helper, in seed
-    order, which is what makes parallel stats bit-identical to sequential
-    ones. The fold starts from a zeroed accumulator
+    Every Monte-Carlo path aggregates through this helper, in seed order,
+    which is what makes parallel stats bit-identical to sequential ones.
+    The fold starts from a zeroed accumulator
     (:meth:`repro.obs.metrics.SimMetrics.fold`) so the caller's per-seed
     metrics objects are never mutated — important now that engine workers
     may be asked to re-ship metrics on a chunk retry.
@@ -352,9 +183,10 @@ def chunk_seeds(seeds: Sequence[int], chunks: int) -> List[Sequence[int]]:
     return out
 
 
-def _require_picklable(factory, predicate) -> None:
+def _pickled_task(factory, predicate) -> bytes:
+    """The pool task bytes, or a clear error when they cannot be pickled."""
     try:
-        pickle.dumps((factory, predicate))
+        return pickle.dumps((factory, predicate))
     except Exception as err:
         raise PylseError(
             "Parallel Monte-Carlo needs a picklable factory and predicate "
@@ -385,162 +217,37 @@ def _check_chunk(
         )
 
 
-def run_seeds_parallel(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seeds: Sequence[int],
-    workers: int,
-    chunks_per_worker: int = 1,
-) -> List[str]:
-    """Classify every seed using a throwaway process pool; seed order kept.
-
-    This is the original one-shot backend, kept as the simple reference
-    for the pooled path: :class:`YieldEngine` is the production backend
-    (persistent pool, initializer-shipped task, adaptive fallback) and is
-    what ``measure_yield(..., workers=N)`` uses.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        return []
-    _require_picklable(factory, predicate)
-    chunks = chunk_seeds(seeds, workers * max(1, chunks_per_worker))
-    outcomes: List[str] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run_chunk, factory, predicate, sigma, chunk)
-            for chunk in chunks
-        ]
-        for index, future in enumerate(futures):  # submission order == seed order
-            chunk_outcomes = future.result()
-            _check_chunk(index, chunks[index], len(chunk_outcomes))
-            outcomes.extend(chunk_outcomes)
-    return outcomes
-
-
-def run_seeds_parallel_stats(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seeds: Sequence[int],
-    workers: int,
-    chunks_per_worker: int = 1,
-) -> Tuple[List[str], Optional["SimMetrics"]]:
-    """:func:`run_seeds_parallel` that also aggregates per-cell metrics.
-
-    Workers return one ``SimMetrics`` per seed; the parent folds them in
-    seed order via :func:`merge_stats`, so the aggregate is bit-identical
-    to ``workers=1`` for the same seed list. Returns ``(outcomes,
-    merged_stats)``; stats is None for an empty seed list.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        return [], None
-    _require_picklable(factory, predicate)
-    chunks = chunk_seeds(seeds, workers * max(1, chunks_per_worker))
-    outcomes: List[str] = []
-    per_seed: List["SimMetrics"] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run_chunk_stats, factory, predicate, sigma, chunk)
-            for chunk in chunks
-        ]
-        for index, future in enumerate(futures):  # submission order == seed order
-            chunk_outcomes, chunk_stats = future.result()
-            _check_chunk(index, chunks[index], len(chunk_outcomes))
-            _check_chunk(
-                index, chunks[index], len(chunk_stats), what="metrics"
-            )
-            outcomes.extend(chunk_outcomes)
-            per_seed.extend(chunk_stats)
-    return outcomes, merge_stats(per_seed)
-
-
 # ----------------------------------------------------------------------
 # The persistent YieldEngine
 # ----------------------------------------------------------------------
 
-#: Estimated pool startup cost per worker process (interpreter fork/spawn
-#: plus one circuit elaboration in the initializer). Deliberately
-#: conservative: over-estimating keeps small sweeps on the serial path,
-#: which is the "never slower than sequential" invariant.
-POOL_STARTUP_PER_WORKER_S = 0.030
-
-#: Estimated per-call dispatch overhead when the pool is already warm
-#: (future plumbing + chunk/result pickling of outcome tokens).
-WARM_DISPATCH_OVERHEAD_S = 0.005
-
-#: Required predicted advantage before the pool is chosen: estimated pool
-#: time must be below this fraction of the estimated serial time.
-PARALLEL_MARGIN = 0.9
-
-#: Weight of the newest per-seed cost sample in the per-task EWMA.
-COST_EWMA_WEIGHT = 0.5
+#: Per-worker-process cache: ``(task bytes, Simulation, predicate)`` of the
+#: most recent chunk's task.
+_WORKER_TASK: Optional[tuple] = None
 
 
-class _WorkerContext:
-    """Per-worker-process task state, installed by the pool initializer."""
-
-    __slots__ = ("predicate", "circuit", "sim")
-
-    def __init__(self, circuit, predicate):
-        self.predicate = predicate
-        self.circuit = circuit
-        self.sim = Simulation(circuit)
-
-
-_WORKER_CTX: Optional[_WorkerContext] = None
-
-
-def _engine_worker_init(init_blob: bytes) -> None:
-    """Pool initializer: install the design once per worker process.
-
-    ``init_blob`` is either ``("compiled", CompiledCircuit, predicate)`` —
-    the parent elaborated and compiled the design exactly once and ships
-    the frozen IR, so workers never re-run the factory or the compile
-    pass (the unpickled circuit arrives with its compile memo warm) — or
-    the fallback ``("factory", factory, predicate)`` for designs whose
-    circuit does not pickle (e.g. closure-bodied holes), where each
-    worker elaborates once. Afterwards every chunk task is just
-    ``(sigma, seeds)``.
-    """
-    global _WORKER_CTX
-    kind, payload, predicate = pickle.loads(init_blob)
-    if kind == "compiled":
-        circuit = payload.circuit
-    else:
-        circuit = payload()  # elaborate once per worker
-    _WORKER_CTX = _WorkerContext(circuit, predicate)
-
-
-def _engine_chunk(
-    sigma: float, seeds: Sequence[int], batch: Union[int, str, None] = None
-) -> Tuple[List[str], BatchReport]:
-    """Classify a chunk against the worker's pre-elaborated circuit.
-
-    Each worker drains its chunk as one (or a few) batched passes —
-    multiplicative with the pool parallelism. ``Simulation.reset``
-    restores the initial element configuration, so each seed sees exactly
-    the state a fresh ``factory()`` circuit would have — the re-simulation
-    stability locked by ``tests/test_determinism.py`` plus the batched ==
-    sequential property of ``tests/test_differential.py`` is what makes
-    this bit-identical to :func:`run_chunk`.
-    """
-    ctx = _WORKER_CTX
-    outcomes, _stats, report = run_batch(
-        ctx.sim, ctx.predicate, sigma, seeds, collect_stats=False,
-        batch=batch,
-    )
-    return outcomes, report
-
-
-def _engine_chunk_stats(
-    sigma: float, seeds: Sequence[int], batch: Union[int, str, None] = None
+def _pool_chunk(
+    task: bytes,
+    sigma: float,
+    seeds: Sequence[int],
+    collect_stats: bool,
+    batch: Union[int, str, None],
 ) -> Tuple[List[str], List["SimMetrics"], BatchReport]:
-    """:func:`_engine_chunk` plus one fresh ``SimMetrics`` per seed."""
-    ctx = _WORKER_CTX
+    """The pool's worker task: the in-process ``run_batch`` call on a
+    worker-cached design.
+
+    The design is elaborated only when ``task`` differs from the previous
+    chunk's; otherwise the worker's ``Simulation`` is re-run, which
+    ``run_batch`` resets between seeds — bit-identical to a fresh
+    ``factory()`` per seed (``tests/test_determinism.py``).
+    """
+    global _WORKER_TASK
+    if _WORKER_TASK is None or _WORKER_TASK[0] != task:
+        factory, predicate = pickle.loads(task)
+        _WORKER_TASK = (task, Simulation(factory()), predicate)
+    _, sim, predicate = _WORKER_TASK
     return run_batch(
-        ctx.sim, ctx.predicate, sigma, seeds, collect_stats=True, batch=batch
+        sim, predicate, sigma, seeds, collect_stats=collect_stats, batch=batch
     )
 
 
@@ -548,9 +255,7 @@ class YieldEngine:
     """A persistent, reusable parallel Monte-Carlo backend.
 
     One process pool, created lazily on the first parallel run and kept
-    warm for every later call with the same ``(factory, predicate)`` task
-    (a different task tears the pool down and builds a fresh one, since
-    the task is shipped through the pool initializer). Use as a context
+    warm for every later call, whatever its task. Use as a context
     manager, or rely on the module-level :func:`default_engine` cache —
     ``measure_yield(..., workers=N)`` does the latter automatically::
 
@@ -558,12 +263,8 @@ class YieldEngine:
             for sigma in sigmas:
                 measure_yield(factory, ok, sigma, seeds, engine=engine)
 
-    ``adaptive=True`` (default) calibrates the per-seed cost on the first
-    seed of each call (classified in-process, so its outcome is free) and
-    falls back to the sequential reference path whenever the estimated
-    pool time — startup or dispatch overhead plus work divided by worker
-    count — is not comfortably below the estimated serial time. Pass
-    ``adaptive=False`` (or ``policy="pool"`` per call) to force the pool.
+    Runs of at least two seeds on an engine with ``workers > 1`` always use
+    the pool; anything else runs in-process.
 
     Concurrent :meth:`run` calls from different threads serialize on an
     internal lock (one pool, one in-flight sweep at a time), so a single
@@ -580,22 +281,8 @@ class YieldEngine:
     per-cause divergence tallies).
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        *,
-        chunks_per_worker: int = 4,
-        min_seeds_parallel: Optional[int] = None,
-        adaptive: bool = True,
-    ):
+    def __init__(self, workers: Optional[int] = None):
         self.workers = resolve_workers(workers)
-        if chunks_per_worker < 1:
-            raise PylseError(
-                f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
-            )
-        self.chunks_per_worker = chunks_per_worker
-        self.min_seeds_parallel = min_seeds_parallel
-        self.adaptive = adaptive
         self.pools_created = 0
         self.fallbacks = 0
         self.last_backend: Optional[str] = None
@@ -603,15 +290,9 @@ class YieldEngine:
         self.parallel_disabled = False
         self.closed = False
         self._pool: Optional[ProcessPoolExecutor] = None
-        #: Serializes run() across threads: the pool, the cost model, and
-        #: the last_* observability fields are all single-sweep state.
+        #: Serializes run() across threads: the pool and the last_*
+        #: observability fields are single-sweep state.
         self._run_lock = threading.RLock()
-        self._task_key: Optional[bytes] = None
-        self._cost_by_task: Dict[bytes, float] = {}
-        #: task blob -> pool-initializer payload (compiled design when the
-        #: circuit pickles, factory fallback otherwise), built at most once
-        #: per task so repeated runs never re-elaborate in the parent.
-        self._init_blob_by_task: Dict[bytes, bytes] = {}
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "YieldEngine":
@@ -634,44 +315,12 @@ class YieldEngine:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-            self._task_key = None
 
-    def _ensure_pool(
-        self, task_blob: bytes, init_blob: bytes
-    ) -> ProcessPoolExecutor:
-        if self._pool is not None and self._task_key == task_blob:
-            return self._pool
-        self._shutdown_pool()
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_engine_worker_init,
-            initargs=(init_blob,),
-        )
-        self._task_key = task_blob
-        self.pools_created += 1
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self.pools_created += 1
         return self._pool
-
-    def _task_init_blob(self, factory, predicate, task_blob: bytes) -> bytes:
-        """The initializer payload for a task, built (at most) once.
-
-        Prefers shipping the parent-compiled :class:`CompiledCircuit` —
-        one elaboration + compile for the whole sweep, with every worker
-        receiving the design pre-validated and its compile memo warm.
-        Node placement ids are assigned per elaboration, but only their
-        *relative* order matters for heap pop ordering, and a pickled
-        circuit preserves it — so worker results stay bit-identical to
-        the factory path. Falls back to shipping the factory when the
-        circuit itself does not pickle.
-        """
-        blob = self._init_blob_by_task.get(task_blob)
-        if blob is None:
-            try:
-                compiled = compile_circuit(factory())
-                blob = pickle.dumps(("compiled", compiled, predicate))
-            except Exception:
-                blob = pickle.dumps(("factory", factory, predicate))
-            self._init_blob_by_task[task_blob] = blob
-        return blob
 
     # -- the run entry point -------------------------------------------
     def run(
@@ -681,27 +330,15 @@ class YieldEngine:
         sigma: float,
         seeds: Sequence[int],
         collect_stats: bool = False,
-        policy: Optional[str] = None,
-        min_seeds_parallel: Optional[int] = None,
         batch: Union[int, str, None] = None,
     ) -> Tuple[List[str], Optional["SimMetrics"]]:
         """Classify every seed; returns ``(outcomes, merged_stats_or_None)``.
 
-        ``policy`` overrides the adaptive choice for this call:
-        ``"pool"`` forces the process pool, ``"serial"`` forces the
-        sequential reference path, ``None`` lets the engine decide.
-        ``min_seeds_parallel`` overrides the engine-level floor below
-        which the pool is never considered. ``batch`` is the batched-drain
-        lane width each worker uses per chunk (``None``/``"auto"`` picks
-        it, ``0`` disables batching); the run's merged
+        ``batch`` is the batched-drain lane width (``None``/``"auto"``
+        picks it, ``0`` disables batching); the run's merged
         :class:`~repro.core.batchsim.BatchReport` lands on
         ``self.last_report``.
         """
-        if policy not in (None, "pool", "serial"):
-            raise PylseError(
-                f"unknown engine policy {policy!r}: expected 'pool', "
-                "'serial', or None"
-            )
         with self._run_lock:
             if self.closed:
                 raise PylseError("YieldEngine is closed; create a new one")
@@ -709,141 +346,33 @@ class YieldEngine:
             self.last_report = BatchReport()
             if not seeds:
                 return [], None
-            if (
-                policy == "serial"
-                or self.workers <= 1
-                or len(seeds) < 2
-                or self.parallel_disabled
-            ):
-                return self._run_serial(factory, predicate, sigma, seeds,
-                                        collect_stats, batch)
-            # From here on the pool is a possibility: reject unpicklable
-            # tasks up front, exactly like the one-shot backend does.
-            _require_picklable(factory, predicate)
-            task_blob = pickle.dumps((factory, predicate))
-            if policy == "pool" or not self.adaptive:
-                return self._run_pool(
-                    factory, predicate, task_blob, sigma, seeds,
-                    collect_stats, batch=batch,
+            if self.workers <= 1 or len(seeds) < 2 or self.parallel_disabled:
+                self.last_backend = "serial"
+                outcomes, per_seed, self.last_report = run_batch(
+                    Simulation(factory()), predicate, sigma, seeds,
+                    collect_stats=collect_stats, batch=batch,
                 )
-            return self._run_adaptive(
-                factory, predicate, task_blob, sigma, seeds, collect_stats,
-                min_seeds_parallel, batch,
-            )
-
-    # -- backends ------------------------------------------------------
-    def _serial_chunk(
-        self, factory, predicate, sigma, seeds, collect_stats, batch=None
-    ) -> Tuple[List[str], List["SimMetrics"]]:
-        """In-process batched classification, timing fed to the cost model."""
-        started = time.perf_counter()
-        if collect_stats:
-            outcomes, per_seed, report = run_chunk_stats_batched(
-                factory, predicate, sigma, seeds, batch
-            )
-        else:
-            outcomes, report = run_chunk_batched(
-                factory, predicate, sigma, seeds, batch
-            )
-            per_seed = []
-        self.last_report.merge(report)
-        if seeds:
-            task_blob = (
-                pickle.dumps((factory, predicate))
-                if _is_picklable(factory, predicate)
-                else None
-            )
-            self._update_cost(
-                task_blob, (time.perf_counter() - started) / len(seeds)
-            )
-        return outcomes, per_seed
-
-    def _run_serial(
-        self, factory, predicate, sigma, seeds, collect_stats, batch=None
-    ) -> Tuple[List[str], Optional["SimMetrics"]]:
-        self.last_backend = "serial"
-        outcomes, per_seed = self._serial_chunk(
-            factory, predicate, sigma, seeds, collect_stats, batch
-        )
-        return outcomes, merge_stats(per_seed) if collect_stats else None
-
-    def _run_adaptive(
-        self, factory, predicate, task_blob, sigma, seeds, collect_stats,
-        min_seeds_parallel, batch=None,
-    ) -> Tuple[List[str], Optional["SimMetrics"]]:
-        floor = min_seeds_parallel
-        if floor is None:
-            floor = self.min_seeds_parallel
-        if floor is None:
-            floor = 2 * self.workers
-        if len(seeds) < floor:
-            return self._run_serial(factory, predicate, sigma, seeds,
-                                    collect_stats, batch)
-        # Calibrate on the first seed, in-process. Its outcome (and
-        # metrics) are kept, so calibration costs nothing extra and the
-        # cost estimate tracks the actual design being swept.
-        started = time.perf_counter()
-        if collect_stats:
-            first_outcome, first_metrics = classify_seed_stats(
-                factory, predicate, sigma, seeds[0]
-            )
-            prefix_stats: List["SimMetrics"] = [first_metrics]
-        else:
-            first_outcome = classify_seed(factory, predicate, sigma, seeds[0])
-            prefix_stats = []
-        sample = time.perf_counter() - started
-        cost = self._update_cost(task_blob, sample)
-        # The calibration seed was classified per-seed, outside any batch:
-        # account for it in the report (no divergence cause — nothing
-        # diverged, it simply never entered a batch).
-        self.last_report.fallback_seeds.append(seeds[0])
-        rest = seeds[1:]
-        est_serial = cost * len(rest)
-        warm = self._pool is not None and self._task_key == task_blob
-        overhead = (
-            WARM_DISPATCH_OVERHEAD_S
-            if warm
-            else POOL_STARTUP_PER_WORKER_S * self.workers
-        )
-        est_pool = overhead + est_serial / self.workers
-        if est_pool < est_serial * PARALLEL_MARGIN:
+                return outcomes, merge_stats(per_seed)
+            task = _pickled_task(factory, predicate)
             return self._run_pool(
-                factory, predicate, task_blob, sigma, rest, collect_stats,
-                prefix_outcomes=[first_outcome], prefix_stats=prefix_stats,
-                batch=batch,
+                factory, predicate, task, sigma, seeds, collect_stats, batch
             )
-        self.last_backend = "serial"
-        rest_outcomes, rest_per_seed = self._serial_chunk(
-            factory, predicate, sigma, rest, collect_stats, batch
-        )
-        outcomes = [first_outcome] + rest_outcomes
-        if not collect_stats:
-            return outcomes, None
-        # One fold over the full per-seed list keeps the association
-        # order exactly seed order (prefix aggregate + rest aggregate
-        # would associate the float sums differently).
-        return outcomes, merge_stats(prefix_stats + rest_per_seed)
 
     def _run_pool(
         self,
         factory,
         predicate,
-        task_blob: bytes,
+        task: bytes,
         sigma: float,
-        seeds: Sequence[int],
+        seeds: List[int],
         collect_stats: bool,
-        prefix_outcomes: Optional[List[str]] = None,
-        prefix_stats: Optional[List["SimMetrics"]] = None,
-        batch: Union[int, str, None] = None,
+        batch: Union[int, str, None],
     ) -> Tuple[List[str], Optional["SimMetrics"]]:
         """Pool execution with per-chunk retry-once and crash degradation."""
         self.last_backend = "pool"
-        outcomes: List[str] = list(prefix_outcomes or [])
-        per_seed: List["SimMetrics"] = list(prefix_stats or [])
-        if not seeds:
-            return outcomes, merge_stats(per_seed) if collect_stats else None
-        chunks = chunk_seeds(seeds, self.workers * self.chunks_per_worker)
-        task = _engine_chunk_stats if collect_stats else _engine_chunk
+        outcomes: List[str] = []
+        per_seed: List["SimMetrics"] = []
+        chunks = chunk_seeds(seeds, self.workers * CHUNKS_PER_WORKER)
         retried = False
         index = 0
         futures: List = []
@@ -855,16 +384,17 @@ class YieldEngine:
                 # already dead) or at result time, so both live under the
                 # same failure handling.
                 if need_submit:
-                    pool = self._ensure_pool(
-                        task_blob,
-                        self._task_init_blob(factory, predicate, task_blob),
-                    )
+                    pool = self._ensure_pool()
                     futures[index:] = [
-                        pool.submit(task, sigma, c, batch)
+                        pool.submit(
+                            _pool_chunk, task, sigma, c, collect_stats, batch
+                        )
                         for c in chunks[index:]
                     ]
                     need_submit = False
-                result = futures[index].result()
+                chunk_outcomes, chunk_stats, chunk_report = (
+                    futures[index].result()
+                )
             except (BrokenProcessPool, OSError, pickle.PicklingError) as err:
                 self._shutdown_pool()
                 if not retried:
@@ -878,71 +408,38 @@ class YieldEngine:
                         stacklevel=3,
                     )
                     continue
-                # Retry also failed: degrade to the sequential reference
-                # path for this and every remaining chunk, and stop trying
-                # to parallelize on this engine (the task evidently kills
+                # Retry also failed: degrade to the in-process path for
+                # this and every remaining chunk, and stop trying to
+                # parallelize on this engine (the task evidently kills
                 # workers; thrashing pools would be worse than serial).
                 warnings.warn(
                     f"parallel Monte-Carlo worker failure persisted after "
-                    f"retry ({err!r}); degrading to the sequential "
-                    "reference path for the remaining "
-                    f"{len(chunks) - index} chunk(s) and disabling the "
-                    "pool on this engine",
+                    f"retry ({err!r}); degrading to the in-process path "
+                    f"for the remaining {len(chunks) - index} chunk(s) and "
+                    "disabling the pool on this engine",
                     RuntimeWarning,
                     stacklevel=3,
                 )
                 self.fallbacks += 1
                 self.parallel_disabled = True
                 self.last_backend = "degraded"
-                for tail in chunks[index:]:
-                    if collect_stats:
-                        tail_outcomes, tail_stats, tail_report = (
-                            run_chunk_stats_batched(
-                                factory, predicate, sigma, tail, batch
-                            )
-                        )
-                        per_seed.extend(tail_stats)
-                    else:
-                        tail_outcomes, tail_report = run_chunk_batched(
-                            factory, predicate, sigma, tail, batch
-                        )
-                    self.last_report.merge(tail_report)
-                    outcomes.extend(tail_outcomes)
+                tail = [seed for c in chunks[index:] for seed in c]
+                tail_outcomes, tail_stats, tail_report = run_batch(
+                    Simulation(factory()), predicate, sigma, tail,
+                    collect_stats=collect_stats, batch=batch,
+                )
+                outcomes.extend(tail_outcomes)
+                per_seed.extend(tail_stats)
+                self.last_report.merge(tail_report)
                 break
+            _check_chunk(index, chunk, len(chunk_outcomes))
             if collect_stats:
-                chunk_outcomes, chunk_stats, chunk_report = result
-                _check_chunk(index, chunk, len(chunk_outcomes))
                 _check_chunk(index, chunk, len(chunk_stats), what="metrics")
-                per_seed.extend(chunk_stats)
-            else:
-                chunk_outcomes, chunk_report = result
-                _check_chunk(index, chunk, len(chunk_outcomes))
-            self.last_report.merge(chunk_report)
             outcomes.extend(chunk_outcomes)
+            per_seed.extend(chunk_stats)
+            self.last_report.merge(chunk_report)
             index += 1
-        return outcomes, merge_stats(per_seed) if collect_stats else None
-
-    # -- cost model ----------------------------------------------------
-    def _update_cost(self, task_blob: Optional[bytes], sample: float) -> float:
-        """Fold a measured per-seed cost into the per-task EWMA."""
-        if task_blob is None:
-            return sample
-        previous = self._cost_by_task.get(task_blob)
-        cost = (
-            sample
-            if previous is None
-            else (1 - COST_EWMA_WEIGHT) * previous + COST_EWMA_WEIGHT * sample
-        )
-        self._cost_by_task[task_blob] = cost
-        return cost
-
-
-def _is_picklable(factory, predicate) -> bool:
-    try:
-        pickle.dumps((factory, predicate))
-    except Exception:
-        return False
-    return True
+        return outcomes, merge_stats(per_seed)
 
 
 # ----------------------------------------------------------------------
@@ -974,6 +471,3 @@ def shutdown_default_engines() -> None:
 
 
 atexit.register(shutdown_default_engines)
-
-
-EnginePolicy = Union["YieldEngine", str, None]

@@ -21,18 +21,16 @@ the bitonic scaling study, the Section 5.2 Monte-Carlo sweeps), so
   destination record)`` so ``emit`` costs one dict probe instead of two;
 * the heap holds flat primitive tuples (see :mod:`repro.core.events`), not
   ``Pulse`` objects;
-* variability, tracing, and per-group object bookkeeping live in a separate
-  general loop — the common ``simulate()`` call with no noise and no trace
-  pays for none of it. Both loops produce bit-identical events for the same
-  inputs (the fast path is the reference semantics, minus the bookkeeping).
+* variability, tracing, observation, and per-group object bookkeeping live
+  in a separate general loop — the common ``simulate()`` call with no
+  noise, no trace and no observer pays for none of it. Both loops produce
+  bit-identical events for the same inputs (the fast path is the reference
+  semantics, minus the bookkeeping).
 
-Observability (:mod:`repro.obs`) is threaded through *both* loops: pass
+Observability (:mod:`repro.obs`) lives in the general loop only: pass
 ``observer=Observer()`` to record pulse provenance (every pulse's causal
-parents, back to the circuit inputs) and per-cell metrics. The hook
-protocol — which observer methods are called, in what order, with what
-arguments — is identical in the two loops, so fast and general drains
-build identical provenance graphs. With no observer the loops skip all of
-it behind a single local flag check.
+parents, back to the circuit inputs) and per-cell metrics, and
+``simulate`` runs the general loop even without noise or trace.
 """
 
 from __future__ import annotations
@@ -175,8 +173,8 @@ class Simulation:
         ``max_pulses`` (default one million) guards against unbounded
         feedback loops simulated without an ``until`` horizon; pass None to
         disable. ``observer`` attaches a :class:`repro.obs.Observer` that
-        collects pulse provenance and per-cell metrics from either drain
-        loop; timing-violation errors then carry the causal chain of the
+        collects pulse provenance and per-cell metrics (it runs the general
+        drain loop); timing-violation errors then carry the causal chain of the
         offending pulse group.
         """
         circuit = self.circuit
@@ -282,13 +280,13 @@ class Simulation:
                     observer.on_input(node.name, label, t, dkey, dport)
 
         try:
-            if spec.enabled or record:
+            if spec.enabled or record or observer is not None:
                 self._drain_general(
                     heap, spec, rng, until, record, max_pulses, observer,
                     counter,
                 )
             else:
-                self._drain_fast(heap, rng, until, max_pulses, observer)
+                self._drain_fast(heap, rng, until, max_pulses)
         finally:
             if observer is not None:
                 observer.end(heap.max_depth, self.pulses_processed)
@@ -305,106 +303,50 @@ class Simulation:
         rng: random.Random,
         until: Optional[float],
         max_pulses: Optional[int],
-        observer=None,
     ) -> None:
-        """Drain the heap with no variability and no trace recording.
+        """Drain the heap with no variability, no trace and no observer.
 
-        This is the hot path: no per-group objects, no spec/trace checks,
-        scalar delays added directly (they were validated non-negative when
-        the machine / hole was built). Distribution-valued delays are still
-        sampled from ``rng``, matching the general path. An attached
-        observer costs one local flag check per group and per firing when
-        present, and nothing measurable when absent (``until`` and
-        ``max_pulses`` are normalized to infinities so the common case
-        drops two per-iteration None-checks in exchange).
+        This is the hot path: no per-group objects, no spec/trace/observer
+        checks, scalar delays added directly (they were validated
+        non-negative when the machine / hole was built). Distribution-valued
+        delays are still sampled from ``rng``, matching the general path.
+        ``until`` and ``max_pulses`` are normalized to infinities so the
+        loop drops two per-iteration None-checks.
         """
         pending = heap._heap
         pop = heap.pop_simultaneous
         push = heap.push_raw
         stop = math.inf if until is None else until
         limit = math.inf if max_pulses is None else max_pulses
-        observe = observer is not None
         processed = self.pulses_processed
-        # Heap high-water mark, sampled at the top of each iteration (i.e.
-        # after the previous group's pushes) so the disabled path pays
-        # nothing per push; identical checkpoints in both drain loops.
-        max_depth = len(pending) if observe else 0
         while pending:
-            if observe:
-                depth = len(pending)
-                if depth > max_depth:
-                    max_depth = depth
             rec, ports, time = pop()
             if time > stop:
                 break
             if processed >= limit:
                 self._overflow(max_pulses, time)
             processed += len(ports)
-            if observe:
-                node = rec[_REC_NODE]
-                parents = observer.group_parents(node.node_id, ports, time)
-                try:
-                    firings = rec[_REC_DELIVER](ports, time)
-                except SimulationError as err:
-                    self.pulses_processed = processed
-                    heap.max_depth = max_depth
-                    chain = observer.on_violation(
-                        node.name, node.element.name, ports, time, parents, err
-                    )
-                    self._dispatch_error(node, ports, err, chain)
-            else:
-                try:
-                    firings = rec[_REC_DELIVER](ports, time)
-                except SimulationError as err:
-                    self.pulses_processed = processed
-                    self._dispatch_error(rec[_REC_NODE], ports, err)
+            try:
+                firings = rec[_REC_DELIVER](ports, time)
+            except SimulationError as err:
+                self.pulses_processed = processed
+                self._dispatch_error(rec[_REC_NODE], ports, err)
             counts = rec[_REC_COUNTS]
             counts[0] += len(ports)
             counts[1] += len(firings)
             outs = rec[_REC_OUTS]
-            if observe:
-                emitted = []
-                for out_port, delay in firings:
-                    if isinstance(delay, Distribution):
-                        delay = delay.sample(rng)
-                        if delay < 0:
-                            raise PylseError(
-                                f"Resolved firing delay is negative: {delay}"
-                            )
-                    t = time + delay
-                    series, dkey, drec, dport, label = outs[out_port]
-                    series.append(t)
-                    pushed = drec is not None
-                    if pushed:
-                        push(t, dkey, drec, dport)
-                    emitted.append(
-                        (out_port, label, t, delay, dkey, dport, pushed)
-                    )
-                element = node.element
-                if rec[_REC_TRANSITIONAL]:
-                    log = element._transition_log
-                    tlabels = tuple(log)
-                    log.clear()
-                else:
-                    tlabels = ()
-                observer.record_group(
-                    node.name, element.name, ports, time, tlabels, emitted,
-                    parents,
-                )
-            else:
-                for out_port, delay in firings:
-                    if isinstance(delay, Distribution):
-                        delay = delay.sample(rng)
-                        if delay < 0:
-                            raise PylseError(
-                                f"Resolved firing delay is negative: {delay}"
-                            )
-                    t = time + delay
-                    series, dkey, drec, dport, _label = outs[out_port]
-                    series.append(t)
-                    if drec is not None:
-                        push(t, dkey, drec, dport)
-        heap.max_depth = max_depth
+            for out_port, delay in firings:
+                if isinstance(delay, Distribution):
+                    delay = delay.sample(rng)
+                    if delay < 0:
+                        raise PylseError(
+                            f"Resolved firing delay is negative: {delay}"
+                        )
+                t = time + delay
+                series, dkey, drec, dport, _label = outs[out_port]
+                series.append(t)
+                if drec is not None:
+                    push(t, dkey, drec, dport)
         self.pulses_processed = processed
 
     def _drain_general(
@@ -418,12 +360,11 @@ class Simulation:
         observer=None,
         counter=None,
     ) -> None:
-        """Drain the heap with variability and/or trace bookkeeping on.
+        """Drain the heap with variability, trace or observer bookkeeping on.
 
-        Observer hooks fire at the same points, in the same order, with
-        the same arguments as in :meth:`_drain_fast`, so both loops build
-        identical provenance graphs and metrics for the same stimulus.
-        ``counter`` (a width-1 :class:`repro.core.batchsim.CounterNoise`)
+        The only loop that calls observer hooks; with all three off it
+        produces the same events as :meth:`_drain_fast` (locked by
+        ``tests/test_differential.py``). ``counter`` (a width-1 :class:`repro.core.batchsim.CounterNoise`)
         replaces the python-rng delay resolution when the variability spec
         selects the counter scheme.
         """

@@ -1,8 +1,8 @@
 """The ``Observer``: the opt-in hook object the simulator drains into.
 
-Attach one via ``Simulation.simulate(observer=Observer())`` and both drain
-loops (fast and general) report every circuit-input pulse, dispatch group,
-fired pulse, and timing violation to it. The observer composes the two
+Attach one via ``Simulation.simulate(observer=Observer())`` and the
+simulator's general drain loop reports every circuit-input pulse,
+dispatch group, fired pulse, and timing violation to it. The observer composes the two
 collection back-ends:
 
 * :class:`~repro.obs.provenance.ProvenanceGraph` — the causal DAG of
@@ -13,10 +13,10 @@ collection back-ends:
 Either can be switched off independently; Monte-Carlo sweeps, for
 example, collect metrics only (the graph grows with pulse count).
 
-The hook-call protocol is identical in ``_drain_fast`` and
-``_drain_general`` — same hooks, same order, same arguments — which is
-what makes the two loops produce identical provenance graphs and metrics
-for the same stimulus (property-tested in
+Only ``_drain_general`` calls the hooks: an observed ``simulate()`` runs
+that loop even with no noise and no trace, so the unobserved hot loop
+``_drain_fast`` carries no hook code at all. Both loops produce the same
+events for the same stimulus (property-tested in
 ``tests/test_differential.py``).
 """
 

@@ -17,8 +17,6 @@ See docs/serving.md for the API reference and cache-key semantics, and
 instance.
 """
 
-# LRUCache/MISSING/hit_rate live in repro.cache now; re-exported here for
-# backward compatibility (repro.serve.cache is a deprecated shim).
 from ..cache import MISSING, LRUCache, hit_rate
 from .http import YieldHTTPServer, run_server, serving
 from .service import (

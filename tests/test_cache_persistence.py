@@ -12,7 +12,6 @@ no longer import anything from :mod:`repro.serve`.
 
 import json
 import pathlib
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -52,24 +51,6 @@ def test_no_serve_imports_outside_serve(package):
         if "from ..serve" in text or "from repro.serve" in text:
             offenders.append(str(path))
     assert offenders == []
-
-
-def test_serve_cache_shim_warns_but_works():
-    import importlib
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        import repro.serve.cache as shim
-
-        shim = importlib.reload(shim)
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    )
-    from repro.cache import LRUCache, MISSING, hit_rate
-
-    assert shim.LRUCache is LRUCache
-    assert shim.MISSING is MISSING
-    assert shim.hit_rate is hit_rate
 
 
 # -- serve: results survive a service restart --------------------------

@@ -4,8 +4,11 @@
 ``_drain_general`` re-implements it with variability/trace/observer
 support. This property locks the two together on random circuits (from
 the generator in ``tests/test_random_circuits.py``, variability off):
-identical event dictionaries, identical provenance graphs, identical
-metrics — node for node, pulse for pulse, parent for parent.
+an unobserved ``simulate()`` (the fast loop) and a ``record=True`` one
+(the general loop) give identical event dictionaries. Observer hooks
+live in the general loop only, so observed runs with and without
+``record=True`` must build identical provenance graphs and metrics —
+node for node, pulse for pulse, parent for parent.
 
 Any drift between the loops (a hook called in a different order, a
 different grouping of simultaneous pulses, a missed duplicate collapse)
@@ -26,7 +29,7 @@ from test_random_circuits import build_random_circuit
 
 
 def run_fast(circuit):
-    """Fast drain: no variability, no trace."""
+    """Observed run with no variability and no trace."""
     observer = Observer()
     events = Simulation(circuit).simulate(observer=observer)
     return events, observer
@@ -40,6 +43,19 @@ def run_general(circuit):
 
 
 class TestDrainLoopsAgree:
+    @given(
+        seed=st.integers(0, 10_000),
+        n_inputs=st.integers(2, 5),
+        n_cells=st.integers(1, 12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_unobserved_events_identical(self, seed, n_inputs, n_cells):
+        """No observer, no noise, no trace: the ``_drain_fast`` loop."""
+        circuit = build_random_circuit(seed, n_inputs, n_cells)
+        fast = Simulation(circuit).simulate()
+        general = Simulation(circuit).simulate(record=True)
+        assert fast == general
+
     @given(
         seed=st.integers(0, 10_000),
         n_inputs=st.integers(2, 5),
@@ -113,7 +129,7 @@ class TestDrainLoopsAgree:
 class TestEngineMatchesSequential:
     """The pooled YieldEngine against the sequential reference path.
 
-    ``engine="pool"`` routes through the cached default engine, so every
+    ``workers=2`` routes through the cached default engine, so every
     example reuses the same warm pool and worker-resident circuits —
     precisely the state-carryover surface a per-seed bug would hide in.
     """
@@ -131,7 +147,7 @@ class TestEngineMatchesSequential:
         )
         pooled = measure_yield(
             minmax_factory, minmax_ok, sigma=sigma, seeds=seeds,
-            workers=2, engine="pool",
+            workers=2,
         )
         assert pooled == sequential
         assert list(pooled.failures.items()) == list(
@@ -150,7 +166,7 @@ class TestEngineMatchesSequential:
         )
         pooled = measure_yield(
             minmax_factory, minmax_ok, sigma=sigma, seeds=range(n_seeds),
-            workers=2, engine="pool", collect_stats=True,
+            workers=2, collect_stats=True,
         )
         assert (
             pooled.stats.to_jsonable() == sequential.stats.to_jsonable()

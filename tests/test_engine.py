@@ -2,9 +2,9 @@
 
 Covers the engine-specific contracts on top of ``test_parallel.py``'s
 bit-identity suite: pool reuse (one pool across a whole bisection
-search), the adaptive serial fallback, crash degradation back to the
-sequential reference path, per-chunk retry-once, and stats determinism
-under the chunked engine.
+search, and across a change of task), crash degradation back to the
+in-process path, per-chunk retry-once, and stats determinism under the
+chunked engine.
 """
 
 import multiprocessing
@@ -19,19 +19,16 @@ from repro.core.helpers import inp_at
 from repro.core.montecarlo import critical_sigma, measure_yield, yield_curve
 from repro.core.parallel import (
     YieldEngine,
-    _engine_chunk,
-    _engine_worker_init,
+    _pool_chunk,
+    classify_seed,
     default_engine,
-    run_chunk,
     shutdown_default_engines,
 )
 from repro.designs import min_max
 
 #: Captured at import time in the parent; a forked pool worker inherits
 #: this value but has a different pid — which is how ``crashing_predicate``
-#: kills workers while staying harmless in the parent. (The injection
-#: lives in the predicate because workers no longer run the factory at
-#: all: the parent ships the compiled circuit via the pool initializer.)
+#: kills workers while staying harmless in the parent.
 _PARENT_PID = os.getpid()
 
 FORK_ONLY = pytest.mark.skipif(
@@ -65,23 +62,6 @@ def crashing_predicate(events) -> bool:
     return minmax_ok(events)
 
 
-def unpicklable_hole_factory() -> Circuit:
-    """Builds fine, but the hole's nested function defeats pickling."""
-    from repro.core.functional import hole
-
-    @hole(delay=5.0, inputs=["a", "b"], outputs=["lo", "hi"])
-    def local_minmax(a, b, time):
-        return (a and b) or None, a or b
-
-    with fresh_circuit() as circuit:
-        a = inp_at(60.0, name="A")
-        b = inp_at(25.0, name="B")
-        lo, hi = local_minmax(a, b)
-        lo.observe("low")
-        hi.observe("high")
-    return circuit
-
-
 @pytest.fixture(autouse=True)
 def _clean_default_engines():
     yield
@@ -92,7 +72,7 @@ class TestPoolReuse:
     def test_critical_sigma_creates_exactly_one_pool(self):
         """The acceptance contract: every bisection iteration shares one
         warm pool."""
-        with YieldEngine(workers=2, adaptive=False) as engine:
+        with YieldEngine(workers=2) as engine:
             value = critical_sigma(
                 minmax_factory, minmax_ok, target_yield=0.9,
                 sigma_hi=16.0, seeds=range(6), iterations=3,
@@ -107,7 +87,7 @@ class TestPoolReuse:
         assert value == sequential
 
     def test_yield_curve_reuses_one_pool(self):
-        with YieldEngine(workers=2, adaptive=False) as engine:
+        with YieldEngine(workers=2) as engine:
             curve = yield_curve(
                 minmax_factory, minmax_ok, sigmas=(0.0, 6.0, 12.0),
                 seeds=range(8), workers=2, engine=engine,
@@ -118,17 +98,21 @@ class TestPoolReuse:
             seeds=range(8),
         )
 
-    def test_task_change_recreates_pool(self):
-        """A different factory/predicate means a different initializer
-        payload, so the pool is rebuilt once."""
+    def test_task_change_reuses_pool(self):
+        """The task travels with each chunk, so a different
+        factory/predicate re-elaborates in the workers but keeps the pool."""
         from test_parallel import minmax_factory as other_factory
 
-        with YieldEngine(workers=2, adaptive=False) as engine:
-            measure_yield(minmax_factory, minmax_ok, 0.0, seeds=range(4),
-                          engine=engine)
-            measure_yield(other_factory, minmax_ok, 0.0, seeds=range(4),
-                          engine=engine)
-            assert engine.pools_created == 2
+        with YieldEngine(workers=2) as engine:
+            first = measure_yield(minmax_factory, minmax_ok, 12.0,
+                                  seeds=range(8), engine=engine)
+            second = measure_yield(other_factory, minmax_ok, 12.0,
+                                   seeds=range(8), engine=engine)
+            assert engine.pools_created == 1
+        assert first == measure_yield(minmax_factory, minmax_ok, 12.0,
+                                      seeds=range(8), workers=1)
+        assert second == measure_yield(other_factory, minmax_ok, 12.0,
+                                       seeds=range(8), workers=1)
 
     def test_default_engine_cached_by_worker_count(self):
         assert default_engine(2) is default_engine(2)
@@ -142,110 +126,18 @@ class TestPoolReuse:
         assert not revived.closed
 
 
-class TestInitBlobProtocol:
-    def test_compiled_circuit_shipped_when_picklable(self):
-        """The pool initializer carries the parent's compiled circuit, so
-        workers neither re-elaborate nor recompile."""
-        from repro.core.ir import CompiledCircuit, compile_circuit
-
-        task_blob = pickle.dumps((minmax_factory, minmax_ok))
-        with YieldEngine(workers=2) as engine:
-            blob = engine._task_init_blob(minmax_factory, minmax_ok, task_blob)
-            kind, payload, predicate = pickle.loads(blob)
-            assert kind == "compiled"
-            assert isinstance(payload, CompiledCircuit)
-            assert predicate is minmax_ok
-            # The pickle cycle keeps the memo warm on the receiving side.
-            assert compile_circuit(payload.circuit) is payload
-            # One pickling per task: the blob is cached.
-            assert engine._task_init_blob(
-                minmax_factory, minmax_ok, task_blob
-            ) is blob
-
-    def test_factory_fallback_when_compiled_form_unpicklable(self):
-        """Hole circuits wrap arbitrary callables; when the compiled form
-        cannot pickle, the initializer falls back to shipping the factory
-        and the worker elaborates once itself."""
-        task_blob = pickle.dumps((unpicklable_hole_factory, minmax_ok))
-        with YieldEngine(workers=2) as engine:
-            blob = engine._task_init_blob(
-                unpicklable_hole_factory, minmax_ok, task_blob
-            )
-            kind, payload, predicate = pickle.loads(blob)
-            assert kind == "factory"
-            assert payload is unpicklable_hole_factory
-            assert predicate is minmax_ok
-
-
-class TestAdaptiveFallback:
-    def test_small_sweep_stays_serial(self):
-        """Below the floor no pool is ever spawned."""
-        with YieldEngine(workers=4) as engine:
-            result = measure_yield(
-                minmax_factory, minmax_ok, sigma=0.0, seeds=range(4),
-                engine=engine,
-            )
-            assert result.yield_fraction == 1.0
-            assert engine.pools_created == 0
-            assert engine.last_backend == "serial"
-
-    def test_min_seeds_parallel_override(self):
-        with YieldEngine(workers=2) as engine:
-            measure_yield(
-                minmax_factory, minmax_ok, sigma=0.0, seeds=range(30),
-                engine=engine, min_seeds_parallel=100,
-            )
-            assert engine.pools_created == 0
-
-    def test_cheap_task_stays_serial_even_above_floor(self):
-        """Min-Max costs ~0.2 ms/seed: 30 seeds cannot amortize a pool."""
-        with YieldEngine(workers=2) as engine:
-            result = measure_yield(
-                minmax_factory, minmax_ok, sigma=12.0, seeds=range(30),
-                engine=engine,
-            )
-            assert engine.pools_created == 0
-            assert engine.last_backend == "serial"
-        assert result == measure_yield(
-            minmax_factory, minmax_ok, sigma=12.0, seeds=range(30)
+class TestBatchReport:
+    def test_every_replayed_seed_has_a_cause(self):
+        """No seed is classified outside a batch without a divergence
+        cause: the pooled report accounts for every replay."""
+        result = measure_yield(
+            minmax_factory, minmax_ok, sigma=12.0, seeds=range(40), workers=2
         )
+        assert sum(result.divergence.values()) == len(result.fallback_seeds)
+        assert result.batched_lanes + len(result.fallback_seeds) == 40
 
-    def test_forced_pool_policy_overrides_adaptive(self):
-        with YieldEngine(workers=2) as engine:
-            result = measure_yield(
-                minmax_factory, minmax_ok, sigma=12.0, seeds=range(10),
-                engine=engine, min_seeds_parallel=0,
-            )
-            serial_pools = engine.pools_created
-            outcomes, _ = engine.run(
-                minmax_factory, minmax_ok, 12.0, range(10), policy="pool"
-            )
-            assert engine.pools_created == serial_pools + 1
-        assert outcomes == [
-            result.failures.get(seed, "ok") for seed in range(10)
-        ]
 
-    def test_serial_policy_never_pools(self):
-        with YieldEngine(workers=2, adaptive=False) as engine:
-            result = measure_yield(
-                minmax_factory, minmax_ok, sigma=12.0, seeds=range(20),
-                engine=engine, workers=2,
-            )
-            assert engine.pools_created == 1
-            outcomes, _ = engine.run(
-                minmax_factory, minmax_ok, 12.0, range(20), policy="serial"
-            )
-            assert engine.pools_created == 1  # unchanged
-        assert outcomes == run_chunk(minmax_factory, minmax_ok, 12.0,
-                                     list(range(20)))
-        assert result.runs == 20
-
-    def test_bad_policy_rejected(self):
-        with YieldEngine(workers=2) as engine:
-            with pytest.raises(PylseError, match="policy"):
-                engine.run(minmax_factory, minmax_ok, 0.0, range(4),
-                           policy="warp")
-
+class TestEngineArgument:
     def test_bad_engine_string_rejected(self):
         with pytest.raises(PylseError, match="unknown engine"):
             measure_yield(minmax_factory, minmax_ok, 0.0, seeds=range(2),
@@ -258,8 +150,7 @@ class TestStatsDeterminism:
             minmax_factory, minmax_ok, sigma=12.0, seeds=range(12),
             workers=1, collect_stats=True,
         )
-        with YieldEngine(workers=2, adaptive=False,
-                         chunks_per_worker=2) as engine:
+        with YieldEngine(workers=2) as engine:
             parallel = measure_yield(
                 minmax_factory, minmax_ok, sigma=12.0, seeds=range(12),
                 workers=2, collect_stats=True, engine=engine,
@@ -270,20 +161,6 @@ class TestStatsDeterminism:
             sequential.failures.items()
         )
 
-    def test_adaptive_serial_stats_match_reference(self):
-        """The calibration-prefix + serial-rest path folds in seed order."""
-        sequential = measure_yield(
-            minmax_factory, minmax_ok, sigma=12.0, seeds=range(10),
-            workers=1, collect_stats=True,
-        )
-        with YieldEngine(workers=2, min_seeds_parallel=0) as engine:
-            adaptive = measure_yield(
-                minmax_factory, minmax_ok, sigma=12.0, seeds=range(10),
-                workers=2, collect_stats=True, engine=engine,
-            )
-            assert engine.last_backend == "serial"  # too cheap to pool
-        assert adaptive.stats.to_jsonable() == sequential.stats.to_jsonable()
-
 
 class TestDegradation:
     @FORK_ONLY
@@ -291,7 +168,7 @@ class TestDegradation:
         sequential = measure_yield(
             minmax_factory, minmax_ok, sigma=12.0, seeds=range(20), workers=1
         )
-        with YieldEngine(workers=2, adaptive=False) as engine:
+        with YieldEngine(workers=2) as engine:
             with pytest.warns(RuntimeWarning, match="retrying once"):
                 degraded = measure_yield(
                     minmax_factory, crashing_predicate, sigma=12.0,
@@ -319,7 +196,7 @@ class TestDegradation:
             minmax_factory, minmax_ok, sigma=12.0, seeds=range(10),
             workers=1, collect_stats=True,
         )
-        with YieldEngine(workers=2, adaptive=False) as engine:
+        with YieldEngine(workers=2) as engine:
             with pytest.warns(RuntimeWarning):
                 degraded = measure_yield(
                     minmax_factory, crashing_predicate, sigma=12.0,
@@ -332,11 +209,7 @@ class TestDegradation:
         """A transient failure costs one warning, not the pool."""
         from concurrent.futures.process import BrokenProcessPool
 
-        engine = YieldEngine(workers=2, adaptive=False, chunks_per_worker=1)
-        blob = pickle.dumps(("factory", minmax_factory, minmax_ok))
-        # Run the worker initializer in-process so the fake pool can
-        # execute chunk tasks inline.
-        _engine_worker_init(blob)
+        engine = YieldEngine(workers=2)
 
         class FakeFuture:
             def __init__(self, fail, fn, args):
@@ -363,11 +236,10 @@ class TestDegradation:
 
         fake = FakePool()
 
-        def install_fake(task_blob, init_blob):
+        def install_fake():
             # Mirror _ensure_pool: register the pool on the engine so the
             # failure path's _shutdown_pool() reaches fake.shutdown().
             engine._pool = fake
-            engine._task_key = task_blob
             return fake
 
         engine._ensure_pool = install_fake
@@ -377,9 +249,10 @@ class TestDegradation:
             )
         assert not engine.parallel_disabled
         assert engine.fallbacks == 0
-        assert outcomes == run_chunk(
-            minmax_factory, minmax_ok, 12.0, list(range(12))
-        )
+        assert outcomes == [
+            classify_seed(minmax_factory, minmax_ok, 12.0, seed)
+            for seed in range(12)
+        ]
 
     def test_closed_engine_rejected(self):
         engine = YieldEngine(workers=2)
@@ -390,14 +263,24 @@ class TestDegradation:
 
 class TestWorkerReuseSemantics:
     def test_engine_chunk_matches_reference_chunk(self):
-        """The reused-circuit worker loop is bit-identical to fresh
-        elaboration per seed (run in-process via the initializer)."""
-        blob = pickle.dumps(("factory", minmax_factory, minmax_ok))
-        _engine_worker_init(blob)
+        """The reused-circuit worker task is bit-identical to fresh
+        elaboration per seed (run in-process, two chunks on one cached
+        design)."""
+        task = pickle.dumps((minmax_factory, minmax_ok))
         seeds = list(range(25))
-        outcomes, report = _engine_chunk(12.0, seeds)
-        assert outcomes == run_chunk(minmax_factory, minmax_ok, 12.0, seeds)
-        assert report.batched_lanes + len(report.fallback_seeds) == len(seeds)
+        outcomes = []
+        for chunk in (seeds[:12], seeds[12:]):
+            chunk_outcomes, stats, report = _pool_chunk(
+                task, 12.0, chunk, False, None
+            )
+            assert stats == []
+            assert (report.batched_lanes + len(report.fallback_seeds)
+                    == len(chunk))
+            outcomes.extend(chunk_outcomes)
+        assert outcomes == [
+            classify_seed(minmax_factory, minmax_ok, 12.0, seed)
+            for seed in seeds
+        ]
 
     def test_simulation_reset_allows_reuse(self):
         from repro.core.simulation import Simulation
@@ -412,7 +295,3 @@ class TestWorkerReuseSemantics:
         assert sim.activity == {}
         again = sim.simulate(variability={"stddev": 3.0}, seed=7)
         assert again == snapshot
-
-    def test_engine_rejects_bad_chunks_per_worker(self):
-        with pytest.raises(PylseError, match="chunks_per_worker"):
-            YieldEngine(workers=2, chunks_per_worker=0)

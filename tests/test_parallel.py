@@ -11,7 +11,7 @@ from repro.core.circuit import Circuit, fresh_circuit
 from repro.core.errors import PylseError
 from repro.core.helpers import inp_at
 from repro.core.montecarlo import critical_sigma, measure_yield, yield_curve
-from repro.core.parallel import chunk_seeds, resolve_workers, run_seeds_parallel
+from repro.core.parallel import YieldEngine, chunk_seeds, resolve_workers
 from repro.designs import min_max
 
 
@@ -51,7 +51,9 @@ class TestChunking:
             chunk_seeds([1], 0)
 
     def test_empty_seed_list(self):
-        assert run_seeds_parallel(minmax_factory, minmax_ok, 0.0, [], 2) == []
+        with YieldEngine(workers=2) as engine:
+            assert engine.run(minmax_factory, minmax_ok, 0.0, []) == ([], None)
+            assert engine.pools_created == 0
 
 
 class TestResolveWorkers:

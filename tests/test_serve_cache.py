@@ -1,6 +1,6 @@
 """Cache-correctness tests: LRU mechanics and structural-hash keying.
 
-Two layers. The :class:`~repro.serve.cache.LRUCache` unit tests pin the
+Two layers. The :class:`~repro.cache.lru.LRUCache` unit tests pin the
 mechanics the service leans on — hard capacity bound under churn,
 recency refresh on ``get`` (and *not* on ``peek``), eviction counters,
 capacity-0 disablement. The :class:`~repro.serve.service.YieldService`
