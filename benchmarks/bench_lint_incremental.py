@@ -26,11 +26,11 @@ from repro.lint import ReachBudget, clear_reach_cache, lint_circuit
 LINT_BENCH_DESIGN = "Bitonic Sort 8"
 ENTRIES = {entry.name: entry for entry in registry()}
 
-#: Deliberately truncating budget. On Bitonic Sort 8 a single zone-graph
-#: state expansion costs on the order of a second (hundreds of automata
-#: per successor computation), so the exploration hits ``time_limit``
-#: long before ``max_states`` and the cold round costs roughly the time
-#: limit — kept small here so the guard run stays in the seconds range.
+#: Deliberately truncating budget. On Bitonic Sort 8 (465 clocks) every
+#: feasible successor still needs one O(n^3) closure after extrapolation,
+#: a few tenths of a second, so the exploration hits ``time_limit`` long
+#: before ``max_states`` and the cold round costs roughly the time limit —
+#: kept small here so the guard run stays in the seconds range.
 #: Truncation only *reduces* findings (BFS prefix), and the cache key
 #: includes the budget, so the comparison is exact either way.
 LINT_BENCH_BUDGET = ReachBudget(max_states=300, time_limit=2.0)

@@ -1,8 +1,9 @@
 """Table 3: model-checking cost (Queries 1 + 2) per design.
 
-Basic cells verify in well under a second; the min-max pair takes ~1-2 s;
-the larger designs blow up (bounded here by max_states so the benchmark
-terminates — the paper marks them as infeasible).
+Basic cells verify in well under a second; the min-max pair takes ~0.3 s;
+the larger designs blow up (Race Tree needs 6,418 states, the sync adder
+and Bitonic 8 exhaust any budget), so they are bounded here by max_states
+to keep the benchmark short.
 """
 
 import pytest

@@ -304,6 +304,9 @@ class ModelChecker:
         reachability half of the PL402 input-order-race lint rule.
         """
         started = _time.monotonic()
+        deadline = (
+            None if self.time_limit is None else started + self.time_limit
+        )
         fta_allowed = self._compile_query1(queries)
         check_errors = any(q.kind == "no_errors" for q in queries)
         check_deadlock = any(q.kind == "no_deadlock" for q in queries)
@@ -347,20 +350,15 @@ class ModelChecker:
                 completed = False
                 truncation_reason = "max_states"
                 break
-            if (
-                self.time_limit is not None
-                and _time.monotonic() - started > self.time_limit
-            ):
-                completed = False
-                truncation_reason = "time_limit"
-                break
             locvec, zone, state_index = waiting.popleft()
             if collect_races:
                 self._collect_races(locvec, zone, race_keys, races)
-            any_successor = False
-            for new_locvec, new_zone, label, edges in self._successors(
-                locvec, zone
-            ):
+            any_successor = out_of_time = False
+            for successor in self._successors(locvec, zone, deadline):
+                if successor is None:
+                    out_of_time = True
+                    break
+                new_locvec, new_zone, label, edges = successor
                 any_successor = True
                 fired += 1
                 for compiled in edges:
@@ -390,6 +388,11 @@ class ModelChecker:
                 )
                 self._note_reached(new_locvec, reach_targets, reached)
                 waiting.append((new_locvec, new_zone, new_index))
+            if out_of_time:
+                # A half-expanded state proves nothing about deadlock.
+                completed = False
+                truncation_reason = "time_limit"
+                break
             if check_deadlock and not any_successor:
                 violations.append(
                     Violation(
@@ -502,7 +505,6 @@ class ModelChecker:
                 for edge in (send_a, send_b):
                     for i, j, encoded in edge.guard_ops:
                         z.constrain(i, j, encoded)
-                z.canonicalize()
                 if not z.is_empty():
                     return z.clock_bounds(self.global_idx)
         return None
@@ -554,14 +556,26 @@ class ModelChecker:
         return steps
 
     # ------------------------------------------------------------------
-    def _successors(self, locvec, zone):
+    def _successors(self, locvec, zone, deadline: Optional[float]):
+        """Feasible successors as (locations, zone, label, edges) tuples.
+
+        Yields ``None`` and stops once the monotonic ``deadline`` passes, so
+        a time budget overshoots by at most one :meth:`_fire`.
+        """
+        for edges in self._enabled(locvec):
+            if deadline is not None and _time.monotonic() > deadline:
+                yield None
+                return
+            result = self._fire(zone, locvec, edges)
+            if result is not None:
+                yield (*result, self._label(edges), edges)
+
+    def _enabled(self, locvec):
+        """Edge sets that leave ``locvec``: internal edges, then handshakes."""
         for ta_index in range(len(self.ta_names)):
             for edge in self.internal_edges[ta_index]:
-                if edge.source != locvec[ta_index]:
-                    continue
-                result = self._fire(zone, locvec, [edge])
-                if result is not None:
-                    yield (*result, self._label([edge]), (edge,))
+                if edge.source == locvec[ta_index]:
+                    yield (edge,)
         for channel, senders in self.senders.items():
             receivers = self.receivers.get(channel, [])
             for send in senders:
@@ -569,16 +583,12 @@ class ModelChecker:
                     continue
                 for recv in receivers:
                     if (
-                        recv.ta_index == send.ta_index
-                        or recv.source != locvec[recv.ta_index]
+                        recv.ta_index != send.ta_index
+                        and recv.source == locvec[recv.ta_index]
                     ):
-                        continue
-                    result = self._fire(zone, locvec, [send, recv])
-                    if result is not None:
-                        yield (*result, self._label([send, recv]),
-                               (send, recv))
+                        yield (send, recv)
 
-    def _label(self, edges: List[_CompiledEdge]) -> str:
+    def _label(self, edges: Sequence[_CompiledEdge]) -> str:
         """Human-readable description of a fired (set of) edge(s)."""
         parts = []
         for compiled in edges:
@@ -590,12 +600,11 @@ class ModelChecker:
             )
         return " | ".join(parts)
 
-    def _fire(self, zone: DBM, locvec, edges: List[_CompiledEdge]):
+    def _fire(self, zone: DBM, locvec, edges: Sequence[_CompiledEdge]):
         z = zone.copy()
         for edge in edges:
             for i, j, encoded in edge.guard_ops:
                 z.constrain(i, j, encoded)
-        z.canonicalize()
         if z.is_empty():
             return None
         for edge in edges:
@@ -611,18 +620,20 @@ class ModelChecker:
         return new_locvec, z
 
     def _settle(self, z: DBM, locvec) -> Optional[DBM]:
-        """Apply invariants, delay-close, re-apply, extrapolate, canonicalize."""
+        """Apply invariants, delay-close, re-apply, extrapolate.
+
+        ``z`` stays canonical throughout; the full closure runs only when
+        extrapolation relaxed a bound.
+        """
         self._apply_invariants(z, locvec)
-        z.canonicalize()
         if z.is_empty():
             return None
         z.up()
         self._apply_invariants(z, locvec)
-        z.canonicalize()
         if z.is_empty():
             return None
-        z.extrapolate(self.max_constants)
-        z.canonicalize()
+        if z.extrapolate(self.max_constants):
+            z.canonicalize()
         return z
 
     def _apply_invariants(self, z: DBM, locvec) -> None:

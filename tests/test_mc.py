@@ -1,15 +1,20 @@
 """End-to-end model-checking tests (Section 5.3's Queries 1 and 2)."""
 
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.circuit import working_circuit
 from repro.core.helpers import inp, inp_at
 from repro.designs import min_max
-from repro.mc import ModelChecker, verify_design
+from repro.exp.registry import build_in_fresh_circuit, registry
+from repro.mc import ModelChecker, explorer, verify_design
 from repro.sfq import and_s, c, dro, jtl
 from repro.ta import (
     OutputTimesProperty,
     Query,
+    deadlock_query,
     no_error_query,
     translate_circuit,
 )
@@ -144,3 +149,95 @@ class TestCheckerMechanics:
         assert "global == 1050" in tctl1
         tctl2 = report.query2.to_tctl()
         assert tctl2.startswith("A[] not (")
+
+
+def _registry_circuit(name):
+    entry = next(e for e in registry() if e.name == name)
+    return build_in_fresh_circuit(entry)
+
+
+#: (states explored, transitions fired) of every registry design the checker
+#: completes under ``verify_design``'s defaults, recorded with the original
+#: checker that re-closed every DBM with a full Floyd–Warshall pass. Each
+#: one satisfies both queries with no violation.
+EXACT_COUNTS = {
+    "C": (15, 14), "C_INV": (15, 14), "M": (21, 20), "S": (25, 32),
+    "JTL": (11, 10), "AND": (30, 29), "OR": (190, 195), "NAND": (192, 191),
+    "NOR": (15, 14), "XOR": (115, 114), "XNOR": (26, 25), "INV": (38, 37),
+    "DRO": (67, 66), "DRO_SR": (73, 72), "DRO_C": (190, 189),
+    "JOIN": (15, 14), "Min-Max": (395, 946), "Adder (xSFQ)": (114, 221),
+}
+
+
+#: (states explored, transitions fired) of the larger designs stopped at a
+#: state cap, recorded the same way.
+CAPPED_COUNTS = {
+    ("Race Tree", 40): (41, 63), ("Bitonic Sort 4", 10): (10, 9),
+    ("Adder (Sync)", 15): (15, 20), ("Bitonic Sort 8", 1): (1, 0),
+}
+
+
+class TestExactnessPin:
+    @pytest.mark.parametrize("name", sorted(EXACT_COUNTS))
+    def test_counts_and_verdict_unchanged(self, name):
+        report = verify_design(_registry_circuit(name))
+        result = report.result
+        assert (result.states_explored, result.transitions_fired) == (
+            EXACT_COUNTS[name]
+        )
+        assert result.completed and report.ok
+        assert result.violations == []
+
+    @pytest.mark.parametrize("name, cap", sorted(CAPPED_COUNTS))
+    def test_capped_counts_unchanged(self, name, cap):
+        result = verify_design(_registry_circuit(name), max_states=cap).result
+        assert result.truncation_reason == "max_states"
+        assert (result.states_explored, result.transitions_fired) == (
+            CAPPED_COUNTS[name, cap]
+        )
+
+
+class TestTimeBudget:
+    @staticmethod
+    def _ticking_checker(monkeypatch, time_limit, feasible=True):
+        """An AND-cell checker whose clock only moves, by 1 s, per _fire.
+
+        The initial state of the AND network has six enabled edge sets.
+        """
+        clock = [0.0]
+        monkeypatch.setattr(
+            explorer, "_time", SimpleNamespace(monotonic=lambda: clock[0])
+        )
+        real_fire = ModelChecker._fire
+        fired = []
+
+        def fire(self, *args):
+            fired.append(args)
+            clock[0] += 1.0
+            return real_fire(self, *args) if feasible else None
+
+        monkeypatch.setattr(ModelChecker, "_fire", fire)
+        translation = translate_circuit(_registry_circuit("AND"))
+        return ModelChecker(translation.network, time_limit=time_limit), fired
+
+    def test_overshoot_is_bounded_by_one_fire(self, monkeypatch):
+        checker, fired = self._ticking_checker(monkeypatch, time_limit=2.5)
+        result = checker.run([])
+        assert result.truncation_reason == "time_limit"
+        assert len(fired) == 3
+
+    def test_cut_expansion_is_not_a_deadlock(self, monkeypatch):
+        checker, fired = self._ticking_checker(
+            monkeypatch, time_limit=0.5, feasible=False
+        )
+        result = checker.run([deadlock_query()])
+        assert result.truncation_reason == "time_limit"
+        assert len(fired) == 1
+        assert result.violations_for("no_deadlock") == []
+
+    def test_bitonic8_stops_near_its_time_limit(self):
+        circuit = _registry_circuit("Bitonic Sort 8")
+        started = time.perf_counter()
+        report = verify_design(circuit, time_limit=0.5)
+        assert report.result.truncation_reason == "time_limit"
+        assert time.perf_counter() - started < 2.0
