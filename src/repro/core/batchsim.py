@@ -19,8 +19,9 @@ possible:
   global event order. The sequential drain consumes the very same streams
   when ``variability={"scheme": "counter"}`` is passed (the Monte-Carlo
   backends select that scheme automatically for batch-eligible designs),
-  which is what lets a width-N batch and a width-1 replay produce the same
-  bits for the same seed.
+  through :class:`ScalarNoise`: the same arithmetic on Python ints and
+  floats, one seed at a time. That is what lets a width-N batch and a
+  per-seed replay produce the same bits for the same seed.
 
 * **Conformance tracking + replay.** The batch steers control flow along
   the *nominal* (noise-free) schedule. Each lane is checked, group by
@@ -43,6 +44,7 @@ are re-exported by ``parallel`` so both spellings stay importable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -78,14 +80,21 @@ _NORMAL, _UNIFORM, _TIE = 0, 1, 2
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _M64 = (1 << 64) - 1
-_C1 = np.uint64(0xBF58476D1CE4E5B9)
-_C2 = np.uint64(0x94D049BB133111EB)
+_K1 = 0xBF58476D1CE4E5B9
+_K2 = 0x94D049BB133111EB
+_C1 = np.uint64(_K1)
+_C2 = np.uint64(_K2)
 _TWO_PI = 2.0 * np.pi
 
-#: seed -> SeedSequence-derived 64-bit root, cached so every backend
-#: (batched, sequential counter-scheme, replay) derives identical streams
-#: without re-hashing the entropy per call.
-_ROOT_CACHE: Dict[int, int] = {}
+#: Capacity of the seed -> root LRU. A root costs ~13 us to derive, more
+#: than a small design's whole batched drain spends per lane, and a yield
+#: curve or a served ``/yield_curve``/``/critical_sigma`` request re-runs
+#: the same seeds at every sigma. An LRU walked in a cycle longer than
+#: its capacity never hits, so the capacity holds one request at the
+#: service's ``MAX_SEEDS`` (100k) with room to spare; full, it takes
+#: ~26 MB. The bound keeps a long-running service from growing with
+#: every distinct seed it is asked about.
+_ROOT_CACHE_SIZE = 1 << 17
 
 
 def _mix64(x: "np.ndarray") -> "np.ndarray":
@@ -97,23 +106,31 @@ def _mix64(x: "np.ndarray") -> "np.ndarray":
     return x ^ (x >> np.uint64(31))
 
 
+def _mix64_int(x: int) -> int:
+    """:func:`_mix64` on one Python int in ``[0, 2**64)``."""
+    x ^= x >> 30
+    x = (x * _K1) & _M64
+    x ^= x >> 27
+    x = (x * _K2) & _M64
+    return x ^ (x >> 31)
+
+
 def _u01(bits: "np.ndarray") -> "np.ndarray":
     """Map uint64 bits to doubles in the open interval (0, 1)."""
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
-def _root(seed: Optional[int]) -> "np.uint64":
+@lru_cache(maxsize=_ROOT_CACHE_SIZE)
+def _seed_root(entropy: int) -> int:
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+def _root(seed: Optional[int]) -> int:
     """The 64-bit stream root for one seed (None: fresh entropy)."""
     if seed is None:
-        return np.random.SeedSequence().generate_state(1, np.uint64)[0]
+        return int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
     # SeedSequence entropy must be non-negative; fold negatives in evenly.
-    entropy = 2 * seed if seed >= 0 else -2 * seed - 1
-    root = _ROOT_CACHE.get(entropy)
-    if root is None:
-        root = _ROOT_CACHE[entropy] = np.random.SeedSequence(
-            entropy
-        ).generate_state(1, np.uint64)[0]
-    return root
+    return _seed_root(2 * seed if seed >= 0 else -2 * seed - 1)
 
 
 class CounterNoise:
@@ -122,10 +139,10 @@ class CounterNoise:
     Each draw is addressed by ``(seed root, node index, kind, position)``
     and computed as two rounds of splitmix64 mixing, so the value of lane
     ``l``'s j-th draw at node ``i`` does not depend on batch width or on
-    the order other nodes drew in. All vector helpers return ``float64[N]``
-    arrays whose lane ``l`` is bit-identical to what a width-1 instance
-    built from ``[seeds[l]]`` produces at the same positions — the
-    invariant the batched == sequential property rests on.
+    the order other nodes drew in. All helpers return ``[N]`` arrays; the
+    sequential drain draws the same streams one seed at a time through
+    :class:`ScalarNoise`, whose every value is bit-identical to lane ``l``
+    here — the invariant the batched == sequential property rests on.
     """
 
     __slots__ = ("n", "_roots", "_keys", "_pos")
@@ -179,22 +196,19 @@ class CounterNoise:
         index: int,
         spec: VariabilitySpec,
         applies: bool,
-    ) -> Union["np.ndarray", float, None]:
+    ) -> Union["np.ndarray", float]:
         """Resolve one firing delay across all lanes.
 
-        Returns a ``float64[N]`` vector when a draw was consumed, a plain
-        float when the delay is a constant the spec does not perturb (no
-        draw — callers broadcast), or None for a custom ``Distribution``
-        subclass the counter streams cannot reproduce (the sequential
-        caller falls back to the python-rng sample; batch-eligibility
-        excludes such designs from the batched drain entirely).
+        Returns a ``float64[N]`` vector when a draw was consumed, or a
+        plain float when the delay is a constant the spec does not perturb
+        (no draw — callers broadcast). Custom ``Distribution`` subclasses
+        never get here: batch eligibility keeps such designs off the
+        batched drain.
         """
         if isinstance(delay, Normal):
             return np.maximum(0.0, delay.mean + delay.stddev * self.normal(index))
         if isinstance(delay, Uniform):
             return delay.low + (delay.high - delay.low) * self.uniform(index)
-        if isinstance(delay, Distribution):
-            return None
         value = float(delay)
         if not applies:
             return value
@@ -203,24 +217,94 @@ class CounterNoise:
         )
         return np.maximum(0.0, value + sigma * self.normal(index))
 
-    def resolve_scalar(self, delay, index, node, spec, rng) -> float:
-        """Width-1 resolution for the sequential counter-scheme drain.
 
-        Same streams, same positions, same float operations as the batched
-        :meth:`resolve` — ``float(vector[0])`` of a width-1 vector IS the
-        lane value a batch would compute — so a replayed seed reproduces
-        its batched lane exactly. ``rng`` only backs custom distributions.
-        """
-        applies = spec.applies_to(node.element.name, node.name)
-        value = self.resolve(delay, index, spec, applies)
-        if value is None:
-            return sample_delay(delay, rng)
-        if isinstance(value, float):
+class ScalarNoise:
+    """The counter streams of one seed, drawn without numpy arrays.
+
+    The sequential counter-scheme drain (``Simulation.simulate`` with
+    ``variability={"scheme": "counter", ...}``) draws through this class.
+    Every value equals lane ``l`` of a :class:`CounterNoise` built over
+    the same seed, bit for bit, so a replayed seed reproduces its batched
+    lane exactly:
+
+    * splitmix64 runs on Python ints masked to 64 bits;
+    * ``u01`` is ``((bits >> 11) + 0.5) * 2**-53`` in Python floats — the
+      shift leaves 53 bits, so the int-to-float step is exact and the
+      rest is the same IEEE arithmetic the arrays do;
+    * Box–Muller takes ``np.log``/``np.cos`` of Python floats. The numpy
+      ufuncs compute the same value for a scalar as for an array lane;
+      ``math.log`` does not (it differs in a few draws per thousand on
+      AVX-512 hosts), so it must not be used here;
+    * ``max(0, x)`` follows ``np.maximum``: ``-0.0`` and NaN pass through.
+
+    Staying off numpy arrays is the point: a width-1 array draw costs ~10x
+    more per resolved delay (~30 vs ~2.8 us), and past the yield cliff
+    per-seed replays dominate a sweep. ``spec.applies_to`` is resolved
+    once per node per run.
+    """
+
+    __slots__ = ("_root", "_spec", "_rng", "_streams", "_applies")
+
+    def __init__(self, seed: Optional[int], spec: VariabilitySpec, rng):
+        self._root = _root(seed)
+        self._spec = spec
+        self._rng = rng  # backs custom Distribution subclasses only
+        # stream id 3 * index + kind -> [key, draws taken]
+        self._streams: Dict[int, List[int]] = {}
+        self._applies: Dict[int, bool] = {}
+
+    def _bits(self, index: int, kind: int) -> int:
+        """The next 64-bit draw on one (node, kind) stream."""
+        stream_id = 3 * index + kind
+        stream = self._streams.get(stream_id)
+        if stream is None:
+            salt = (_GOLDEN * (stream_id + 1)) & _M64
+            stream = self._streams[stream_id] = [
+                _mix64_int((self._root + salt) & _M64), 0,
+            ]
+        stream[1] += 1
+        return _mix64_int((stream[0] + _GOLDEN * stream[1]) & _M64)
+
+    def normal(self, index: int) -> float:
+        """The seed's next standard-normal draw at one node."""
+        u1 = ((self._bits(index, _NORMAL) >> 11) + 0.5) * 2.0 ** -53
+        u2 = ((self._bits(index, _NORMAL) >> 11) + 0.5) * 2.0 ** -53
+        return float(np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2))
+
+    def uniform(self, index: int) -> float:
+        """The seed's next uniform (0, 1) draw at one node."""
+        return ((self._bits(index, _UNIFORM) >> 11) + 0.5) * 2.0 ** -53
+
+    def tie(self, index: int, choices: int) -> int:
+        """The seed's next pick in ``range(choices)`` at one node."""
+        return self._bits(index, _TIE) % choices
+
+    def resolve(self, delay, index: int, node) -> float:
+        """One firing delay of ``node`` (dense IR ``index``)."""
+        if isinstance(delay, Normal):
+            value = delay.mean + delay.stddev * self.normal(index)
+            return 0.0 if value < 0.0 else value
+        if isinstance(delay, Uniform):
+            return delay.low + (delay.high - delay.low) * self.uniform(index)
+        if isinstance(delay, Distribution):
+            return sample_delay(delay, self._rng)
+        value = float(delay)
+        applies = self._applies.get(index)
+        if applies is None:
+            applies = self._applies[index] = self._spec.applies_to(
+                node.element.name, node.name
+            )
+        if not applies:
             return value
-        return float(value[0])
+        spec = self._spec
+        sigma = (
+            spec.stddev if spec.stddev is not None else value * spec.fraction
+        )
+        value = value + sigma * self.normal(index)
+        return 0.0 if value < 0.0 else value
 
     def tie_rng(self, index: int) -> "_CounterTieRng":
-        """A per-node tie-break chooser backed by this instance's streams."""
+        """A per-node tie-break chooser backed by this seed's streams."""
         return _CounterTieRng(self, index)
 
 
@@ -234,12 +318,12 @@ class _CounterTieRng:
 
     __slots__ = ("_noise", "_index")
 
-    def __init__(self, noise: CounterNoise, index: int):
+    def __init__(self, noise: ScalarNoise, index: int):
         self._noise = noise
         self._index = index
 
     def choice(self, tied):
-        return tied[int(self._noise.tie(self._index, len(tied))[0])]
+        return tied[self._noise.tie(self._index, len(tied))]
 
 
 # ----------------------------------------------------------------------
@@ -623,32 +707,39 @@ def _drain(
 # ----------------------------------------------------------------------
 # Per-lane finalization
 # ----------------------------------------------------------------------
-def _finalize_events(result: _DrainResult, n: int) -> Dict[str, list]:
-    """Per-label, per-lane sorted time lists, built in one pass per label.
+def _finalize_events(
+    result: _DrainResult, n: int
+) -> Tuple[List[List[float]], List[Tuple[str, int, int]]]:
+    """Every lane's sorted event times, one list per lane.
 
-    Each label's pulse entries form a ``(pulses, lanes)`` matrix sorted
-    once along the pulse axis; one transpose + ``tolist`` then yields
-    every lane's series, instead of a per-lane column copy (the lane loop
-    in :func:`_run_one_batch` only indexes into the result).
+    Each label's pulse entries fill a block of rows of one
+    ``(pulses, lanes)`` matrix, sorted once along the pulse axis; one
+    ``tolist`` of the transpose then holds a lane's series for every label
+    side by side, and :func:`_events_for_lane` slices it per label.
+    Returns those per-lane rows and each label's ``(label, start, stop)``
+    span, in label first-occurrence order. A lane's per-label lists are
+    built only when its predicate runs, so they die with the call; holding
+    every lane's lists at once (~35k on bitonic-8) makes the cyclic GC
+    walk them on each collection during the batch.
     """
-    per_label: Dict[str, list] = {}
-    for label, entries in result.series_acc.items():
-        if not entries:
-            per_label[label] = None
-            continue
-        matrix = np.empty((len(entries), n))
-        for row, entry in enumerate(entries):
+    acc = result.series_acc
+    matrix = np.empty((sum(len(entries) for entries in acc.values()), n))
+    spans: List[Tuple[str, int, int]] = []
+    start = 0
+    for label, entries in acc.items():
+        stop = start + len(entries)
+        for row, entry in enumerate(entries, start):
             matrix[row, :] = entry  # broadcasts pure-nominal scalars
-        matrix.sort(axis=0)
-        per_label[label] = matrix.T.tolist()
-    return per_label
+        matrix[start:stop].sort(axis=0)
+        spans.append((label, start, stop))
+        start = stop
+    return matrix.T.tolist(), spans
 
 
-def _events_for_lane(per_label: Dict[str, list], lane: int) -> dict:
-    return {
-        label: (columns[lane] if columns is not None else [])
-        for label, columns in per_label.items()
-    }
+def _events_for_lane(finalized, lane: int) -> dict:
+    rows, spans = finalized
+    row = rows[lane]
+    return {label: row[start:stop] for label, start, stop in spans}
 
 
 def _lane_heap_depth(result: _DrainResult, lane: int) -> int:
@@ -760,14 +851,14 @@ def _run_one_batch(
     noise = CounterNoise.for_seeds(seeds)
     result = _drain(compiled, spec, noise, collect_stats, max_pulses)
 
-    per_label = None
+    finalized = None
     outcomes: List[Optional[str]] = [None] * len(seeds)
     stats: List = [None] * len(seeds) if collect_stats else []
     for lane, seed in enumerate(seeds):
         if result.active[lane]:
-            if per_label is None:
-                per_label = _finalize_events(result, noise.n)
-            events = _events_for_lane(per_label, lane)
+            if finalized is None:
+                finalized = _finalize_events(result, noise.n)
+            events = _events_for_lane(finalized, lane)
             outcomes[lane] = OK if predicate(events) else MIS_BEHAVED
             if collect_stats:
                 stats[lane] = _stats_for_lane(result, lane)

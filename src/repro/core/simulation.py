@@ -191,9 +191,9 @@ class Simulation:
             # Counter-based per-(seed, node) noise streams: the width-1
             # form of the vectorized Monte-Carlo drain, bit-identical to
             # one lane of a batched pass over the same seed.
-            from .batchsim import CounterNoise
+            from .batchsim import ScalarNoise
 
-            counter = CounterNoise.for_seeds([seed])
+            counter = ScalarNoise(seed, spec, rng)
 
         # ---- instantiate the per-run dispatch plan --------------------
         # Wires sharing an observation label share one series list, exactly
@@ -364,9 +364,10 @@ class Simulation:
 
         The only loop that calls observer hooks; with all three off it
         produces the same events as :meth:`_drain_fast` (locked by
-        ``tests/test_differential.py``). ``counter`` (a width-1 :class:`repro.core.batchsim.CounterNoise`)
-        replaces the python-rng delay resolution when the variability spec
-        selects the counter scheme.
+        ``tests/test_differential.py``). ``counter`` (a
+        :class:`repro.core.batchsim.ScalarNoise`) replaces the python-rng
+        delay resolution when the variability spec selects the counter
+        scheme.
         """
         pending = heap._heap
         pop = heap.pop_simultaneous
@@ -412,9 +413,7 @@ class Simulation:
             obs_emitted = [] if observe else None
             for out_port, delay in firings:
                 if counter is not None:
-                    resolved = counter.resolve_scalar(
-                        delay, rec[_REC_INDEX], node, spec, rng
-                    )
+                    resolved = counter.resolve(delay, rec[_REC_INDEX], node)
                 else:
                     resolved = self._resolve_delay(delay, node, spec, rng)
                 t = time + resolved

@@ -131,8 +131,10 @@ class VariabilitySpec:
     * ``"python"`` (default) — one ``random.Random(seed)`` stream consumed
       in global event order, the original reference behaviour;
     * ``"counter"`` — counter-based per-(seed, node) streams
-      (:class:`repro.core.batchsim.CounterNoise`), whose draws are
-      addressable by position and independent of cross-node event order.
+      (:class:`repro.core.batchsim.CounterNoise` across a batch,
+      :class:`repro.core.batchsim.ScalarNoise` for one seed), whose draws
+      are addressable by position and independent of cross-node event
+      order.
       This is the scheme the vectorized Monte-Carlo drain uses, and the
       Monte-Carlo backends select it automatically for batch-eligible
       designs so batched and per-seed sweeps stay element-wise identical.

@@ -3,15 +3,22 @@
 The element-wise batched == sequential property lives in
 ``tests/test_differential.py``; this file covers the module's contract
 surface: eligibility, width resolution, the divergence report and its
-exposure on ``YieldResult`` and the CLI, and reuse of a warm
-``Simulation`` / compiled-circuit memo across batched drains.
+exposure on ``YieldResult`` and the CLI, reuse of a warm ``Simulation``
+/ compiled-circuit memo across batched drains, and the per-seed
+``ScalarNoise`` stream drawing exactly one lane of ``CounterNoise``.
 """
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.batchsim import (
     DEFAULT_MAX_BATCH,
     BatchReport,
+    CounterNoise,
+    ScalarNoise,
     batch_eligible,
     resolve_batch,
     run_batch,
@@ -23,6 +30,7 @@ from repro.core.helpers import inp_at
 from repro.core.ir import compile_circuit
 from repro.core.montecarlo import measure_yield
 from repro.core.simulation import Simulation
+from repro.core.timing import Normal, Uniform, VariabilitySpec
 from repro.designs import min_max
 
 from test_montecarlo import minmax_factory, minmax_ok
@@ -267,3 +275,135 @@ class TestWarmReuse:
         assert [s.to_jsonable() for s in stats1] == [
             s.to_jsonable() for s in stats2
         ]
+
+
+# -- the per-seed stream is one lane of the batched stream ---------------
+seed_values = st.integers(min_value=-(2 ** 62), max_value=2 ** 62)
+raw_draws = st.tuples(
+    st.sampled_from(["normal", "uniform", "tie"]),
+    st.integers(min_value=0, max_value=40),  # node index
+    st.integers(min_value=1, max_value=4),  # draws in a row
+    st.integers(min_value=2, max_value=7),  # tie choices
+)
+delays = st.one_of(
+    st.builds(
+        Normal,
+        st.floats(min_value=0.0, max_value=50.0),
+        st.floats(min_value=0.0, max_value=30.0),
+    ),
+    st.tuples(
+        st.floats(min_value=0.0, max_value=50.0),
+        st.floats(min_value=0.0, max_value=50.0),
+    ).map(lambda bounds: Uniform(min(bounds), max(bounds))),
+    st.floats(min_value=0.0, max_value=50.0),
+)
+variabilities = st.one_of(
+    st.builds(
+        lambda sigma: {"stddev": sigma},
+        st.floats(min_value=0.0, max_value=20.0),
+    ),
+    st.builds(
+        lambda fraction: {"fraction": fraction},
+        st.floats(min_value=0.0, max_value=2.0),
+    ),
+)
+
+
+def _bits_of(value) -> str:
+    return float(value).hex()
+
+
+class TestScalarNoise:
+    """``ScalarNoise(seed)`` draws exactly lane ``l`` of
+    ``CounterNoise.for_seeds(seeds)`` when ``seeds[l] == seed``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seeds=st.lists(seed_values, min_size=1, max_size=6),
+        lane=st.integers(min_value=0, max_value=5),
+        draws=st.lists(raw_draws, min_size=1, max_size=12),
+    )
+    def test_raw_draws_match_the_lane(self, seeds, lane, draws):
+        lane %= len(seeds)
+        wide = CounterNoise.for_seeds(seeds)
+        scalar = ScalarNoise(seeds[lane], VariabilitySpec(), None)
+        for kind, index, count, choices in draws:
+            for _ in range(count):
+                if kind == "normal":
+                    assert _bits_of(scalar.normal(index)) == _bits_of(
+                        wide.normal(index)[lane]
+                    )
+                elif kind == "uniform":
+                    assert _bits_of(scalar.uniform(index)) == _bits_of(
+                        wide.uniform(index)[lane]
+                    )
+                else:
+                    assert scalar.tie(index, choices) == int(
+                        wide.tie(index, choices)[lane]
+                    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seeds=st.lists(seed_values, min_size=1, max_size=6),
+        lane=st.integers(min_value=0, max_value=5),
+        variability=variabilities,
+        perturbed=st.booleans(),
+        firings=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=40), delays),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_delay_resolution_matches_the_lane(
+        self, seeds, lane, variability, perturbed, firings
+    ):
+        lane %= len(seeds)
+        cell = "JTL" if perturbed else "DFF"
+        spec = VariabilitySpec.normalize(
+            dict(variability, cell_types=["JTL"], scheme="counter")
+        )
+        wide = CounterNoise.for_seeds(seeds)
+        scalar = ScalarNoise(seeds[lane], spec, None)
+        for index, delay in firings:
+            node = SimpleNamespace(
+                name=f"n{index}", element=SimpleNamespace(name=cell)
+            )
+            applies = spec.applies_to(cell, node.name)
+            expected = wide.resolve(delay, index, spec, applies)
+            if not isinstance(expected, float):
+                expected = expected[lane]
+            assert _bits_of(scalar.resolve(delay, index, node)) == _bits_of(
+                expected
+            )
+
+    def test_long_normal_streams_match_every_lane(self):
+        """Box-Muller through ``math.log`` instead of ``np.log`` differs
+        in a few draws per thousand; thousands of draws per lane make
+        such a slip certain to show."""
+        seeds = [-7, 0, 1, 2 ** 40, 12345, -(2 ** 33)]
+        wide = CounterNoise.for_seeds(seeds)
+        scalars = [ScalarNoise(seed, VariabilitySpec(), None) for seed in seeds]
+        for _ in range(2000):
+            row = wide.normal(5)
+            for lane, scalar in enumerate(scalars):
+                assert _bits_of(scalar.normal(5)) == _bits_of(row[lane])
+
+    def test_root_cache_is_a_bounded_lru(self):
+        """A long-running service sees unboundedly many distinct seeds;
+        the seed -> root cache keeps at most its fixed capacity and
+        re-derives an evicted root identically."""
+        from repro.core.batchsim import _ROOT_CACHE_SIZE, _root, _seed_root
+
+        base = 10 ** 12
+        first = _root(base)
+        for seed in range(base, base + _ROOT_CACHE_SIZE + 50):
+            _root(seed)
+        assert _seed_root.cache_info().currsize == _ROOT_CACHE_SIZE
+        assert _root(base) == first
+
+    def test_root_cache_holds_one_full_service_request(self):
+        """A served yield curve re-runs its seeds at every sigma; an LRU
+        cycled by more seeds than it holds would never hit."""
+        from repro.core.batchsim import _ROOT_CACHE_SIZE
+        from repro.serve.service import MAX_SEEDS
+
+        assert _ROOT_CACHE_SIZE >= MAX_SEEDS

@@ -204,6 +204,17 @@ class TestBenchGuard:
             assert pair["batched"] > 0 and pair["perseed"] > 0
             assert pair["batched_speedup"] >= guard.MC_BATCHED_MIN_SPEEDUP
 
+    def test_committed_artifact_records_the_cliff_pair(self):
+        """Bitonic-8 past the yield cliff is recorded beside the gated
+        pairs (batched and per-seed medians), without a ratio floor."""
+        guard = self._load()
+        payload = json.loads((ROOT / "BENCH_sim.json").read_text())
+        block = payload["mc_batched_200_seeds_s"]
+        for design, _, _ in guard.MC_BATCHED_CLIFF_PAIRS:
+            pair = block[design]
+            assert pair["batched"] > 0 and pair["perseed"] > 0
+            assert pair["batched_speedup"] > 0
+
     def test_explore_cache_block(self):
         guard = self._load()
         block = guard.explore_cache_block(

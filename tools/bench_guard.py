@@ -130,6 +130,15 @@ MC_BATCHED_PAIRS = [
 ]
 MC_BATCHED_MIN_SPEEDUP = 5.0
 
+#: Recorded in the same block, never ratio-gated: bitonic-8 at sigma 2,
+#: past the yield cliff. Most lanes diverge and replay from t=0 on the
+#: per-seed drain there, so the batched sweep costs about as much as the
+#: reference until diverged lanes stop replaying from scratch.
+MC_BATCHED_CLIFF_PAIRS = [
+    ("bitonic8_sigma2", "test_mc_batched[bitonic8_sigma2-batched]",
+     "test_mc_batched[bitonic8_sigma2-perseed]"),
+]
+
 
 def run_benchmarks(json_path: pathlib.Path | None, targets) -> None:
     env = dict(os.environ)
@@ -204,7 +213,9 @@ def mc_comparison(medians_s: dict, cpus: int, seq_name: str,
 def mc_batched_block(medians_s: dict) -> dict:
     """Batched-vs-per-seed drain comparison (bench_mc_batched.py)."""
     block = {}
-    for design, batched_name, perseed_name in MC_BATCHED_PAIRS:
+    for design, batched_name, perseed_name in (
+        MC_BATCHED_PAIRS + MC_BATCHED_CLIFF_PAIRS
+    ):
         batched = medians_s.get(batched_name)
         perseed = medians_s.get(perseed_name)
         block[design] = {
@@ -446,6 +457,7 @@ def main(argv=None) -> int:
             )
             failed = True
 
+    gated = {design for design, _, _ in MC_BATCHED_PAIRS}
     for design, pair in doc["mc_batched_200_seeds_s"].items():
         speedup = pair["batched_speedup"]
         if speedup is None:
@@ -458,9 +470,10 @@ def main(argv=None) -> int:
             continue
         print(
             f"mc batched [{design}]: batched {pair['batched']:.4f} s vs "
-            f"per-seed {pair['perseed']:.4f} s ({speedup}x)"
+            f"per-seed {pair['perseed']:.4f} s ({speedup}x"
+            f"{'' if design in gated else ', not gated'})"
         )
-        if speedup < MC_BATCHED_MIN_SPEEDUP:
+        if design in gated and speedup < MC_BATCHED_MIN_SPEEDUP:
             print(
                 f"REGRESSION: batched Monte-Carlo drain on {design} is only "
                 f"{speedup}x the per-seed reference "
