@@ -8,7 +8,7 @@ and the end-to-end ``measure_yield`` path by ``bench_mc_scaling.py``):
 * ``batched`` — the default vectorized drain (``batch=None``): all seeds
   advance through one event-loop pass as lanes of a structure-of-arrays
   batch, with diverging seeds replayed on the per-seed reference drain;
-* ``perseed`` — ``batch=0``: the same counter-scheme noise, one full
+* ``perseed`` — ``batch=0``: the same counter-stream noise, one full
   event-loop drain per seed. This is the reference the batched drain is
   element-wise identical to (tests/test_differential.py).
 

@@ -16,12 +16,10 @@ possible:
   from independent per-``(seed, node, kind)`` streams derived via
   ``numpy.random.SeedSequence`` and a splitmix64 counter construction, so
   a draw is addressed by *position within its node's stream*, not by
-  global event order. The sequential drain consumes the very same streams
-  when ``variability={"scheme": "counter"}`` is passed (the Monte-Carlo
-  backends select that scheme automatically for batch-eligible designs),
-  through :class:`ScalarNoise`: the same arithmetic on Python ints and
-  floats, one seed at a time. That is what lets a width-N batch and a
-  per-seed replay produce the same bits for the same seed.
+  global event order. Every seeded ``Simulation.simulate`` call draws the
+  very same streams through :class:`ScalarNoise`: the same arithmetic on
+  Python ints and floats, one seed at a time. That is what lets a width-N
+  batch and a per-seed replay produce the same bits for the same seed.
 
 * **Conformance tracking + replay.** The batch steers control flow along
   the *nominal* (noise-free) schedule. Each lane is checked, group by
@@ -51,14 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ._np import np
 from .errors import PylseError, SimulationError
 from .ir import CompiledCircuit, compile_circuit, dispatch_arrays
-from .timing import (
-    Distribution,
-    Normal,
-    Uniform,
-    VariabilitySpec,
-    nominal_delay,
-    sample_delay,
-)
+from .timing import Normal, Uniform, VariabilitySpec, nominal_delay
 
 #: Outcome tokens, one per seed (re-exported by :mod:`repro.core.parallel`,
 #: which historically defined them). ``OK`` counts toward yield.
@@ -133,6 +124,14 @@ def _root(seed: Optional[int]) -> int:
     return _seed_root(2 * seed if seed >= 0 else -2 * seed - 1)
 
 
+#: Names the noise-stream layout: how a (seed, dense node index, kind,
+#: position) address becomes a draw, and which draws a run takes. Every
+#: seeded result depends on it, so :func:`repro.core.ir.result_cache_key`
+#: carries it; change it whenever a seed's draws change, and a persistent
+#: result cache stops serving yields computed under the old streams.
+STREAM_LAYOUT = "counter-splitmix64-v1"
+
+
 class CounterNoise:
     """Order-invariant noise streams for N seeds, one lane per seed.
 
@@ -201,9 +200,8 @@ class CounterNoise:
 
         Returns a ``float64[N]`` vector when a draw was consumed, or a
         plain float when the delay is a constant the spec does not perturb
-        (no draw — callers broadcast). Custom ``Distribution`` subclasses
-        never get here: batch eligibility keeps such designs off the
-        batched drain.
+        (no draw — callers broadcast). A custom variability callable never
+        gets here: the batched drain runs ``{"stddev": sigma}`` specs only.
         """
         if isinstance(delay, Normal):
             return np.maximum(0.0, delay.mean + delay.stddev * self.normal(index))
@@ -221,11 +219,11 @@ class CounterNoise:
 class ScalarNoise:
     """The counter streams of one seed, drawn without numpy arrays.
 
-    The sequential counter-scheme drain (``Simulation.simulate`` with
-    ``variability={"scheme": "counter", ...}``) draws through this class.
-    Every value equals lane ``l`` of a :class:`CounterNoise` built over
-    the same seed, bit for bit, so a replayed seed reproduces its batched
-    lane exactly:
+    ``Simulation.simulate`` draws every random value of a run through
+    this class: variability noise, ``Normal``/``Uniform`` delays and, for
+    a seeded run, priority tie-breaks. Every value equals lane ``l`` of a
+    :class:`CounterNoise` built over the same seed, bit for bit, so a
+    replayed seed reproduces its batched lane exactly:
 
     * splitmix64 runs on Python ints masked to 64 bits;
     * ``u01`` is ``((bits >> 11) + 0.5) * 2**-53`` in Python floats — the
@@ -239,16 +237,18 @@ class ScalarNoise:
 
     Staying off numpy arrays is the point: a width-1 array draw costs ~10x
     more per resolved delay (~30 vs ~2.8 us), and past the yield cliff
-    per-seed replays dominate a sweep. ``spec.applies_to`` is resolved
-    once per node per run.
+    per-seed replays dominate a sweep. The stream root is derived on the
+    first draw (``seed=None`` then takes fresh entropy), so a run that
+    draws nothing pays nothing; ``spec.applies_to`` is resolved once per
+    node per run.
     """
 
-    __slots__ = ("_root", "_spec", "_rng", "_streams", "_applies")
+    __slots__ = ("_seed", "_root", "_spec", "_streams", "_applies")
 
-    def __init__(self, seed: Optional[int], spec: VariabilitySpec, rng):
-        self._root = _root(seed)
+    def __init__(self, seed: Optional[int], spec: VariabilitySpec):
+        self._seed = seed
+        self._root: Optional[int] = None
         self._spec = spec
-        self._rng = rng  # backs custom Distribution subclasses only
         # stream id 3 * index + kind -> [key, draws taken]
         self._streams: Dict[int, List[int]] = {}
         self._applies: Dict[int, bool] = {}
@@ -258,6 +258,8 @@ class ScalarNoise:
         stream_id = 3 * index + kind
         stream = self._streams.get(stream_id)
         if stream is None:
+            if self._root is None:
+                self._root = _root(self._seed)
             salt = (_GOLDEN * (stream_id + 1)) & _M64
             stream = self._streams[stream_id] = [
                 _mix64_int((self._root + salt) & _M64), 0,
@@ -280,14 +282,18 @@ class ScalarNoise:
         return self._bits(index, _TIE) % choices
 
     def resolve(self, delay, index: int, node) -> float:
-        """One firing delay of ``node`` (dense IR ``index``)."""
+        """One firing delay of ``node`` (dense IR ``index``).
+
+        ``Normal``/``Uniform`` delays draw whether or not variability is
+        on; a constant draws only where the spec applies. A custom
+        variability callable replaces the Gaussian step for constants and
+        is clamped at 0.
+        """
         if isinstance(delay, Normal):
             value = delay.mean + delay.stddev * self.normal(index)
             return 0.0 if value < 0.0 else value
         if isinstance(delay, Uniform):
             return delay.low + (delay.high - delay.low) * self.uniform(index)
-        if isinstance(delay, Distribution):
-            return sample_delay(delay, self._rng)
         value = float(delay)
         applies = self._applies.get(index)
         if applies is None:
@@ -297,6 +303,8 @@ class ScalarNoise:
         if not applies:
             return value
         spec = self._spec
+        if spec.custom is not None:
+            return max(0.0, float(spec.custom(value, node)))
         sigma = (
             spec.stddev if spec.stddev is not None else value * spec.fraction
         )
@@ -311,7 +319,7 @@ class ScalarNoise:
 class _CounterTieRng:
     """Adapter giving :meth:`PylseMachine.choose` its ``rng.choice`` shape.
 
-    Installed per node by the sequential counter-scheme drain; consumes
+    Installed per node by a seeded ``Simulation.simulate``; consumes
     the node's ``_TIE`` stream only when an actual tie occurs, mirroring
     exactly when the batched drain consumes it.
     """
@@ -330,38 +338,26 @@ class _CounterTieRng:
 # Batch eligibility
 # ----------------------------------------------------------------------
 def batch_eligible(compiled: CompiledCircuit) -> bool:
-    """Whether the batched drain (and counter scheme) covers this design.
+    """Whether the batched drain covers this design.
 
-    Eligible means every non-input node is a :class:`Transitional` machine
-    (``Functional`` holes run arbitrary Python per dispatch) and every
-    firing delay is a constant, :class:`Normal`, or :class:`Uniform` — the
-    delay shapes the counter streams can resolve lane-wise. The answer is
-    memoized on the compile cache; Monte-Carlo backends use it to pick the
-    noise scheme, so ineligible designs keep the original python-rng
-    semantics on every backend.
+    Eligible means every non-input node is a :class:`Transitional` machine:
+    ``Functional`` holes run arbitrary Python per dispatch, which the
+    batch cannot mirror lane-wise. (Every delay is a constant, ``Normal``
+    or ``Uniform``; :func:`repro.core.timing.nominal_delay` refuses other
+    shapes.) Ineligible designs run seed by seed on the same counter
+    streams, so only the speed differs, never a result. The answer is
+    memoized on the compile cache.
     """
     cached = compiled._cache.get("batch_eligible")
     if cached is None:
-        cached = compiled._cache["batch_eligible"] = _compute_eligible(compiled)
+        from .transitional import Transitional
+
+        cached = compiled._cache["batch_eligible"] = all(
+            isinstance(compiled.nodes[nd.index].element, Transitional)
+            for nd in compiled.dispatch
+            if not nd.is_input
+        )
     return cached
-
-
-def _compute_eligible(compiled: CompiledCircuit) -> bool:
-    from .transitional import Transitional
-
-    for nd in compiled.dispatch:
-        if nd.is_input:
-            continue
-        element = compiled.nodes[nd.index].element
-        if not isinstance(element, Transitional):
-            return False
-        for entry in element.machine._fast.values():
-            for _out, delay in entry[2]:
-                if isinstance(delay, Distribution) and not isinstance(
-                    delay, (Normal, Uniform)
-                ):
-                    return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -398,7 +394,7 @@ def resolve_batch(batch: Union[int, str, None], n_seeds: int) -> int:
     """Normalize a ``batch=`` argument to a concrete lane count.
 
     ``None`` / ``"auto"`` pick ``min(n_seeds, DEFAULT_MAX_BATCH)``; ``0``
-    disables batching (per-seed counter-scheme reference); a positive int
+    disables batching (the per-seed reference drain); a positive int
     is an explicit width. Bools and negatives are rejected.
     """
     if batch is None or batch == "auto":
@@ -846,7 +842,7 @@ def _run_one_batch(
     report: BatchReport,
     max_pulses: Optional[int],
 ) -> Tuple[List[str], List]:
-    variability = {"stddev": sigma, "scheme": "counter"}
+    variability = {"stddev": sigma}
     spec = VariabilitySpec.normalize(variability)
     noise = CounterNoise.for_seeds(seeds)
     result = _drain(compiled, spec, noise, collect_stats, max_pulses)
@@ -889,29 +885,25 @@ def run_batch(
     ``sim`` is a (reusable) ``Simulation`` whose circuit the seeds sweep;
     returns ``(outcomes, per_seed_stats, report)`` with outcomes in seed
     order and ``per_seed_stats`` empty unless ``collect_stats``. Seeds in
-    excess of the batch width run as further batches. Ineligible designs
-    (see :func:`batch_eligible`) fall back wholesale to the sequential
-    drain under the original python-rng scheme, so their results match
-    every other backend; ``batch=0`` forces the per-seed counter-scheme
-    reference (the CI smoke job diffs it against the batched output).
+    excess of the batch width run as further batches. ``batch=0`` and
+    ineligible designs (see :func:`batch_eligible`, reported as
+    ``ineligible`` fallbacks) run every seed on the sequential drain,
+    which draws the same counter streams, so the outcomes are those of
+    the batched path (the CI smoke job diffs ``batch=0`` against it).
     """
     seeds = list(seeds)
     report = BatchReport()
     if not seeds:
         return [], [], report
     compiled = compile_circuit(sim.circuit)
-    if not batch_eligible(compiled):
-        report.count("ineligible", len(seeds))
-        report.fallback_seeds.extend(seeds)
+    width = resolve_batch(batch, len(seeds))
+    eligible = batch_eligible(compiled)
+    if width == 0 or not eligible:
+        if not eligible:
+            report.count("ineligible", len(seeds))
+            report.fallback_seeds.extend(seeds)
         outcomes, stats = _replay_seeds(
             sim, predicate, {"stddev": sigma}, seeds, collect_stats
-        )
-        return outcomes, stats, report
-    width = resolve_batch(batch, len(seeds))
-    if width == 0:
-        outcomes, stats = _replay_seeds(
-            sim, predicate, {"stddev": sigma, "scheme": "counter"}, seeds,
-            collect_stats,
         )
         return outcomes, stats, report
     outcomes = []

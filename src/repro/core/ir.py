@@ -46,7 +46,7 @@ from .element import Element, InGen
 from .errors import PylseError
 from .functional import Functional
 from .node import Node
-from .timing import Distribution, Normal, Uniform, nominal_delay
+from .timing import Normal, Uniform, nominal_delay
 from .transitional import Transitional
 from .wire import Wire
 
@@ -221,8 +221,6 @@ def _delay_token(delay) -> tuple:
         return ("normal", repr(float(delay.mean)), repr(float(delay.stddev)))
     if isinstance(delay, Uniform):
         return ("uniform", repr(float(delay.low)), repr(float(delay.high)))
-    if isinstance(delay, Distribution):  # user-defined distribution
-        return ("dist", type(delay).__name__, repr(float(delay.nominal())))
     return ("const", repr(float(delay)))
 
 
@@ -666,7 +664,7 @@ def result_cache_key(
     n_seeds: int,
     seed0: int = 0,
     batch: Union[int, str, None] = None,
-) -> Tuple[str, str, float, int, int, Union[int, str]]:
+) -> Tuple[str, str, str, float, int, int, Union[int, str]]:
     """The canonical memo key for one Monte-Carlo yield measurement.
 
     Two measurements with equal keys are guaranteed to produce equal
@@ -682,7 +680,10 @@ def result_cache_key(
       ``"auto"``: the auto-picked lane width is a pure function of the
       seed count, and batched results are element-wise identical to
       per-seed ones anyway — only ``batch=0`` selects the reference drain,
-      which is also outcome-identical but kept distinct for auditability).
+      which is also outcome-identical but kept distinct for auditability);
+    * the noise-stream layout (:data:`repro.core.batchsim.STREAM_LAYOUT`),
+      which fixes what every seed draws, so a persistent cache filled
+      under other streams is never served.
 
     ``workers`` and the engine policy are deliberately **not** part of the
     key: every backend path is bit-identical for the same seed list (the
@@ -705,7 +706,12 @@ def result_cache_key(
             f"batch must be a non-negative integer, 'auto', or None, "
             f"got {batch!r}"
         )
-    return (_HASH_VERSION, digest, float(sigma), n_seeds, seed0, norm_batch)
+    from .batchsim import STREAM_LAYOUT  # batchsim imports this module
+
+    return (
+        _HASH_VERSION, STREAM_LAYOUT, digest, float(sigma), n_seeds, seed0,
+        norm_batch,
+    )
 
 
 def lint_cache_key(

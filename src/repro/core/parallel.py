@@ -65,11 +65,9 @@ from .batchsim import (
     OK,
     VIOLATION,
     BatchReport,
-    batch_eligible,
     run_batch,
 )
 from .errors import PylseError, SimulationError
-from .ir import compile_circuit
 from .simulation import Events, Simulation
 
 if TYPE_CHECKING:  # layering: core never imports repro.obs at runtime
@@ -78,21 +76,6 @@ if TYPE_CHECKING:  # layering: core never imports repro.obs at runtime
 #: Pool chunks per worker: a few chunks each keep both workers busy to the
 #: end of a sweep when per-seed cost varies, at little dispatch cost.
 CHUNKS_PER_WORKER = 4
-
-
-def mc_variability(circuit, sigma: float) -> dict:
-    """The ``variability`` argument of the per-seed reference.
-
-    Batch-eligible designs (see :func:`repro.core.batchsim.batch_eligible`)
-    get the counter noise scheme — the per-(seed, node) streams the
-    vectorized drain consumes — so :func:`classify_seed` draws the same
-    noise as :func:`run_batch` for the same seed. Ineligible designs keep
-    the original python-rng scheme, which ``run_batch`` also replays them
-    under.
-    """
-    if batch_eligible(compile_circuit(circuit)):
-        return {"stddev": sigma, "scheme": "counter"}
-    return {"stddev": sigma}
 
 
 def classify_seed(
@@ -109,7 +92,7 @@ def classify_seed(
     circuit = factory()
     try:
         events = Simulation(circuit).simulate(
-            variability=mc_variability(circuit, sigma), seed=seed
+            variability={"stddev": sigma}, seed=seed
         )
     except SimulationError:
         return VIOLATION

@@ -36,19 +36,16 @@ parents, back to the circuit inputs) and per-cell metrics, and
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from .batchsim import ScalarNoise
 from .circuit import Circuit, working_circuit
 from .errors import PylseError, SimulationError
 from .events import PulseHeap
-from .functional import Functional
 from .ir import CompiledCircuit, compile_circuit
 from .node import Node
-from .timing import Distribution, VariabilitySpec, sample_delay
-from .transitional import Transitional
-from .wire import Wire
+from .timing import Distribution, VariabilitySpec
 
 Events = Dict[str, List[float]]
 
@@ -131,8 +128,8 @@ class Simulation:
         backends (:mod:`repro.core.parallel`): elaborating and compiling a
         circuit once and resetting between seeds is bit-identical to
         building a fresh circuit per seed, because per-run state lives in
-        ``simulate()`` (RNG, variability spec, event series) while the
-        per-circuit dispatch topology lives in the memoized
+        ``simulate()`` (noise streams, variability spec, event series)
+        while the per-circuit dispatch topology lives in the memoized
         :class:`repro.core.ir.CompiledCircuit`. With a warm compile cache
         only the *stateful* elements are touched, making reset trivially
         cheap for fabric-heavy designs.
@@ -165,8 +162,11 @@ class Simulation:
         ``variability`` adds Gaussian noise to firing delays (Section 5.2):
         ``True`` for all cells, a dict selecting ``cell_types`` /
         ``instances`` and the noise magnitude, or a callable
-        ``f(delay, node) -> delay`` for full control. ``seed`` makes both
-        variability and nondeterministic priority tie-breaks reproducible.
+        ``f(delay, node) -> delay`` for full control. ``seed`` makes the
+        noise, ``Normal``/``Uniform`` delays and priority tie-breaks
+        reproducible: all are drawn from the seed's per-node counter
+        streams (:class:`repro.core.batchsim.ScalarNoise`), as on every
+        Monte-Carlo path. Unseeded, ties break in input declaration order.
         ``record=True`` keeps a dispatch-level trace in ``self.trace`` (one
         :class:`TraceEntry` per simultaneous pulse group, with machine
         states before/after) — the debugging view of the Network Relation.
@@ -183,17 +183,11 @@ class Simulation:
         compiled = compile_circuit(circuit)
         for element in compiled.stateful_elements:
             element.reset()
-        spec = VariabilitySpec.normalize(variability, seed)
-        rng = random.Random(seed)
-        tie_rng = random.Random(rng.random()) if seed is not None else None
-        counter = None
-        if spec.enabled and spec.scheme == "counter":
-            # Counter-based per-(seed, node) noise streams: the width-1
-            # form of the vectorized Monte-Carlo drain, bit-identical to
-            # one lane of a batched pass over the same seed.
-            from .batchsim import ScalarNoise
-
-            counter = ScalarNoise(seed, spec, rng)
+        spec = VariabilitySpec.normalize(variability)
+        # Counter-based per-(seed, node) streams: the width-1 form of the
+        # vectorized Monte-Carlo drain, bit-identical to one lane of a
+        # batched pass over the same seed.
+        noise = ScalarNoise(seed, spec)
 
         # ---- instantiate the per-run dispatch plan --------------------
         # Wires sharing an observation label share one series list, exactly
@@ -216,8 +210,7 @@ class Simulation:
             element = nodes[nd.index].element
             if nd.is_transitional:
                 element.set_dispatch_rng(
-                    counter.tie_rng(nd.index) if counter is not None
-                    else tie_rng
+                    noise.tie_rng(nd.index) if seed is not None else None
                 )
                 # Attach (or clear, so no stale list keeps growing) the
                 # taken-transition log the observer drains per group.
@@ -282,11 +275,10 @@ class Simulation:
         try:
             if spec.enabled or record or observer is not None:
                 self._drain_general(
-                    heap, spec, rng, until, record, max_pulses, observer,
-                    counter,
+                    heap, noise, until, record, max_pulses, observer
                 )
             else:
-                self._drain_fast(heap, rng, until, max_pulses)
+                self._drain_fast(heap, noise, until, max_pulses)
         finally:
             if observer is not None:
                 observer.end(heap.max_depth, self.pulses_processed)
@@ -300,7 +292,7 @@ class Simulation:
     def _drain_fast(
         self,
         heap: PulseHeap,
-        rng: random.Random,
+        noise: ScalarNoise,
         until: Optional[float],
         max_pulses: Optional[int],
     ) -> None:
@@ -309,7 +301,7 @@ class Simulation:
         This is the hot path: no per-group objects, no spec/trace/observer
         checks, scalar delays added directly (they were validated
         non-negative when the machine / hole was built). Distribution-valued
-        delays are still sampled from ``rng``, matching the general path.
+        delays still draw from ``noise``, matching the general path.
         ``until`` and ``max_pulses`` are normalized to infinities so the
         loop drops two per-iteration None-checks.
         """
@@ -319,6 +311,7 @@ class Simulation:
         stop = math.inf if until is None else until
         limit = math.inf if max_pulses is None else max_pulses
         processed = self.pulses_processed
+        resolve = noise.resolve
         while pending:
             rec, ports, time = pop()
             if time > stop:
@@ -337,11 +330,7 @@ class Simulation:
             outs = rec[_REC_OUTS]
             for out_port, delay in firings:
                 if isinstance(delay, Distribution):
-                    delay = delay.sample(rng)
-                    if delay < 0:
-                        raise PylseError(
-                            f"Resolved firing delay is negative: {delay}"
-                        )
+                    delay = resolve(delay, rec[_REC_INDEX], None)
                 t = time + delay
                 series, dkey, drec, dport, _label = outs[out_port]
                 series.append(t)
@@ -352,22 +341,18 @@ class Simulation:
     def _drain_general(
         self,
         heap: PulseHeap,
-        spec: VariabilitySpec,
-        rng: random.Random,
+        noise: ScalarNoise,
         until: Optional[float],
         record: bool,
         max_pulses: Optional[int],
         observer=None,
-        counter=None,
     ) -> None:
         """Drain the heap with variability, trace or observer bookkeeping on.
 
         The only loop that calls observer hooks; with all three off it
         produces the same events as :meth:`_drain_fast` (locked by
-        ``tests/test_differential.py``). ``counter`` (a
-        :class:`repro.core.batchsim.ScalarNoise`) replaces the python-rng
-        delay resolution when the variability spec selects the counter
-        scheme.
+        ``tests/test_differential.py``). Every firing delay resolves
+        through ``noise``.
         """
         pending = heap._heap
         pop = heap.pop_simultaneous
@@ -376,6 +361,7 @@ class Simulation:
         limit = math.inf if max_pulses is None else max_pulses
         observe = observer is not None
         max_depth = len(pending) if observe else 0
+        resolve = noise.resolve
         while pending:
             if observe:
                 depth = len(pending)
@@ -412,10 +398,7 @@ class Simulation:
             emitted: List[Tuple[str, float]] = []
             obs_emitted = [] if observe else None
             for out_port, delay in firings:
-                if counter is not None:
-                    resolved = counter.resolve(delay, rec[_REC_INDEX], node)
-                else:
-                    resolved = self._resolve_delay(delay, node, spec, rng)
+                resolved = resolve(delay, rec[_REC_INDEX], node)
                 t = time + resolved
                 emitted.append((out_port, t))
                 series, dkey, drec, dport, label = outs[out_port]
@@ -492,41 +475,6 @@ class Simulation:
         wrapped = type(err)(message)
         wrapped.provenance = chain
         raise wrapped from None
-
-    def _deliver(self, node: Node, ports: Sequence[str], time: float):
-        """Send a simultaneous pulse group to a node, with error context.
-
-        Kept as the standalone (un-precomputed) form of the dispatch the
-        drain loops perform via per-node records; used by external callers
-        and tests exercising a single node.
-        """
-        element = node.element
-        try:
-            if isinstance(element, (Transitional, Functional)):
-                return element.raw_firings(ports, time)
-            return element.handle_inputs(ports, time)
-        except SimulationError as err:
-            self._dispatch_error(node, ports, err)
-
-    def _resolve_delay(
-        self,
-        delay,
-        node: Node,
-        spec: VariabilitySpec,
-        rng: random.Random,
-    ) -> float:
-        value = sample_delay(delay, rng)
-        if not isinstance(delay, Distribution) and spec.applies_to(
-            node.element.name, node.name
-        ):
-            value = spec.perturb(value, node)
-        if value < 0:
-            raise PylseError(f"Resolved firing delay is negative: {value}")
-        return value
-
-    @staticmethod
-    def _label(wire: Wire) -> str:
-        return wire.observed_as
 
     # ------------------------------------------------------------------
     def render_trace(self, provenance: bool = False) -> str:

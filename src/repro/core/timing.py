@@ -11,8 +11,12 @@ This module provides:
 * :class:`Normal` and :class:`Uniform` delay distributions that can be used
   anywhere a firing delay is expected;
 * :class:`VariabilitySpec`, the normalized form of the ``variability``
-  argument to ``Simulation.simulate`` (a bool, a dict, or a callable);
-* a seedable random source so simulations are reproducible.
+  argument to ``Simulation.simulate`` (a bool, a dict, or a callable).
+
+Every random draw — variability noise, distribution-valued delays and
+seeded priority tie-breaks — comes from the counter-based per-(seed, node)
+streams of :mod:`repro.core.batchsim`, so this module holds no random
+source of its own.
 
 All times are picoseconds, matching the paper's examples.
 """
@@ -20,8 +24,7 @@ All times are picoseconds, matching the paper's examples.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import PylseError
@@ -32,12 +35,14 @@ DEFAULT_VARIABILITY_FRACTION = 0.05
 
 
 class Distribution:
-    """A delay distribution; subclasses implement :meth:`sample`."""
+    """A delay distribution: :class:`Normal` or :class:`Uniform`.
+
+    The set is closed: the noise streams draw only these two shapes, and
+    :func:`nominal_delay` rejects any other subclass, which stops it when
+    a machine or hole is built.
+    """
 
     mean: float
-
-    def sample(self, rng: random.Random) -> float:
-        raise NotImplementedError
 
     def nominal(self) -> float:
         """The deterministic value used when variability is disabled."""
@@ -61,9 +66,6 @@ class Normal(Distribution):
         if self.stddev < 0:
             raise PylseError(f"Normal delay stddev must be >= 0, got {self.stddev}")
 
-    def sample(self, rng: random.Random) -> float:
-        return max(0.0, rng.gauss(self.mean, self.stddev))
-
 
 @dataclass(frozen=True)
 class Uniform(Distribution):
@@ -83,28 +85,23 @@ class Uniform(Distribution):
     def mean(self) -> float:  # type: ignore[override]
         return (self.low + self.high) / 2.0
 
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
 
 DelayLike = Union[float, int, Distribution]
 
 
 def nominal_delay(delay: DelayLike) -> float:
     """Collapse a delay (number or distribution) to its deterministic value."""
-    if isinstance(delay, Distribution):
+    if isinstance(delay, (Normal, Uniform)):
         return delay.nominal()
+    if isinstance(delay, Distribution):
+        raise PylseError(
+            f"Unsupported delay distribution {type(delay).__name__}: "
+            "a delay is a number, Normal or Uniform"
+        )
     value = float(delay)
     if value < 0 or math.isnan(value) or math.isinf(value):
         raise PylseError(f"Delay must be a finite non-negative number, got {delay!r}")
     return value
-
-
-def sample_delay(delay: DelayLike, rng: random.Random) -> float:
-    """Sample a delay, honoring distributions."""
-    if isinstance(delay, Distribution):
-        return delay.sample(rng)
-    return nominal_delay(delay)
 
 
 #: Signature of a user-supplied variability function: it receives the nominal
@@ -122,22 +119,17 @@ class VariabilitySpec:
     * ``True`` — Gaussian noise on every firing delay;
     * a ``dict`` with optional keys ``cell_types`` (iterable of cell-name
       strings), ``instances`` (iterable of node names or node objects),
-      ``stddev`` (absolute sigma), ``fraction`` (sigma as a fraction of
-      the nominal delay) and ``scheme`` (noise stream layout, below);
-    * a callable ``f(delay, node) -> delay`` for full control.
+      ``stddev`` (absolute sigma) and ``fraction`` (sigma as a fraction of
+      the nominal delay);
+    * a callable ``f(delay, node) -> delay`` for full control; it sees the
+      constant delays only and its result is clamped at 0.
 
-    ``scheme`` selects how per-run noise streams are laid out:
-
-    * ``"python"`` (default) — one ``random.Random(seed)`` stream consumed
-      in global event order, the original reference behaviour;
-    * ``"counter"`` — counter-based per-(seed, node) streams
-      (:class:`repro.core.batchsim.CounterNoise` across a batch,
-      :class:`repro.core.batchsim.ScalarNoise` for one seed), whose draws
-      are addressable by position and independent of cross-node event
-      order.
-      This is the scheme the vectorized Monte-Carlo drain uses, and the
-      Monte-Carlo backends select it automatically for batch-eligible
-      designs so batched and per-seed sweeps stay element-wise identical.
+    The spec says *which* delays are perturbed and by how much; the draws
+    come from the per-(seed, node) counter streams
+    (:class:`repro.core.batchsim.ScalarNoise` for one seed,
+    :class:`repro.core.batchsim.CounterNoise` across a batch), so a
+    plain seeded ``simulate`` and every Monte-Carlo path draw the same
+    noise for the same seed.
     """
 
     enabled: bool = False
@@ -146,37 +138,26 @@ class VariabilitySpec:
     stddev: Optional[float] = None
     fraction: float = DEFAULT_VARIABILITY_FRACTION
     custom: Optional[VariabilityFn] = None
-    rng: random.Random = field(default_factory=random.Random)
-    scheme: str = "python"
 
     @classmethod
     def normalize(
-        cls,
-        variability: Union[bool, dict, VariabilityFn],
-        seed: Optional[int] = None,
+        cls, variability: Union[bool, dict, VariabilityFn]
     ) -> "VariabilitySpec":
-        rng = random.Random(seed)
         if variability is False or variability is None:
-            return cls(enabled=False, rng=rng)
+            return cls(enabled=False)
         if variability is True:
-            return cls(enabled=True, rng=rng)
+            return cls(enabled=True)
         if callable(variability):
-            return cls(enabled=True, custom=variability, rng=rng)
+            return cls(enabled=True, custom=variability)
         if isinstance(variability, dict):
             unknown = set(variability) - {
-                "cell_types", "instances", "stddev", "fraction", "scheme"
+                "cell_types", "instances", "stddev", "fraction"
             }
             if unknown:
                 raise PylseError(
                     f"Unknown variability keys: {sorted(unknown)}; "
                     "expected 'cell_types', 'instances', 'stddev', "
-                    "'fraction', 'scheme'"
-                )
-            scheme = variability.get("scheme", "python")
-            if scheme not in ("python", "counter"):
-                raise PylseError(
-                    f"Unknown variability scheme {scheme!r}; "
-                    "expected 'python' or 'counter'"
+                    "'fraction'"
                 )
             cell_types = variability.get("cell_types")
             instances = variability.get("instances")
@@ -186,8 +167,6 @@ class VariabilitySpec:
                 instances=frozenset(cls._names(instances)) if instances else None,
                 stddev=variability.get("stddev"),
                 fraction=variability.get("fraction", DEFAULT_VARIABILITY_FRACTION),
-                rng=rng,
-                scheme=scheme,
             )
         raise PylseError(
             f"variability must be a bool, dict, or callable, got {type(variability).__name__}"
@@ -209,10 +188,3 @@ class VariabilitySpec:
         if self.instances is not None and instance_name in self.instances:
             return True
         return False
-
-    def perturb(self, delay: float, node: object) -> float:
-        """Apply variability to a nominal firing delay."""
-        if self.custom is not None:
-            return max(0.0, float(self.custom(delay, node)))
-        sigma = self.stddev if self.stddev is not None else delay * self.fraction
-        return max(0.0, self.rng.gauss(delay, sigma))

@@ -10,11 +10,12 @@ function returning a pass/fail result with detail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from functools import partial
+from typing import List, Sequence
 
-from ..core.circuit import fresh_circuit
-from ..core.errors import PylseError
+from ..core.circuit import Circuit, fresh_circuit
 from ..core.helpers import inp_at
+from ..core.montecarlo import measure_yield
 from ..core.simulation import Events, Simulation
 from ..designs import bitonic, racetree
 from ..sfq import join
@@ -119,12 +120,18 @@ def bitonic_rank_order(events: Events, n: int) -> bool:
     return all(x[0] <= y[0] for x, y in zip(ranked, ranked[1:]))
 
 
-def check_bitonic(times: Sequence[float] = (20, 70, 10, 45, 5, 90, 33, 60)) -> CheckOutcome:
-    """Simulate the 8-input sorter and verify rank order."""
+def bitonic_circuit(times: Sequence[float]) -> Circuit:
+    """A fresh bitonic sorter fed ``times`` (inputs ``i<k>``, outputs
+    ``o<k>``): the design of the bitonic and variability checks."""
     with fresh_circuit() as circuit:
         ins = [inp_at(t, name=f"i{k}") for k, t in enumerate(times)]
         bitonic.bitonic_sorter(ins, output_names=[f"o{k}" for k in range(len(times))])
-    events = Simulation(circuit).simulate()
+    return circuit
+
+
+def check_bitonic(times: Sequence[float] = (20, 70, 10, 45, 5, 90, 33, 60)) -> CheckOutcome:
+    """Simulate the 8-input sorter and verify rank order."""
+    events = Simulation(bitonic_circuit(times)).simulate()
     passed = bitonic_rank_order(events, len(times))
     return CheckOutcome("bitonic rank order", passed, f"inputs={list(times)}")
 
@@ -139,21 +146,13 @@ def check_variability(
     inputs the design should tolerate sigma ~0.5 ps.
     """
     times = (20, 70, 10, 45, 5, 90, 33, 60)
-    failures = []
-    for seed in seeds:
-        with fresh_circuit() as circuit:
-            ins = [inp_at(t, name=f"i{k}") for k, t in enumerate(times)]
-            bitonic.bitonic_sorter(
-                ins, output_names=[f"o{k}" for k in range(len(times))]
-            )
-        try:
-            events = Simulation(circuit).simulate(
-                variability={"stddev": sigma}, seed=seed
-            )
-            if not bitonic_rank_order(events, len(times)):
-                failures.append((seed, "rank order broken"))
-        except PylseError as err:
-            failures.append((seed, type(err).__name__))
+    result = measure_yield(
+        partial(bitonic_circuit, times),
+        partial(bitonic_rank_order, n=len(times)),
+        sigma,
+        seeds,
+    )
+    failures = sorted(result.failures.items())
     return CheckOutcome(
         f"bitonic under variability (sigma={sigma})",
         not failures,

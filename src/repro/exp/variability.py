@@ -10,14 +10,11 @@ causing the design to fail unexpectedly").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from functools import partial
+from typing import List, Sequence
 
-from ..core.circuit import fresh_circuit
-from ..core.errors import SimulationError
-from ..core.helpers import inp_at
-from ..core.simulation import Simulation
-from ..designs import bitonic_sorter
-from .dynamic_checks import bitonic_rank_order
+from ..core.montecarlo import yield_curve
+from .dynamic_checks import bitonic_circuit, bitonic_rank_order
 
 DEFAULT_SIGMAS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 DEFAULT_VALUES = (20.0, 70.0, 10.0, 45.0, 5.0, 90.0, 33.0, 60.0)
@@ -40,28 +37,21 @@ def run(
     seeds: Sequence[int] = tuple(range(20)),
     values: Sequence[float] = DEFAULT_VALUES,
 ) -> List[SweepRow]:
-    rows: List[SweepRow] = []
-    for sigma in sigmas:
-        outcome: Dict[str, int] = {"ok": 0, "mis": 0, "viol": 0}
-        for seed in seeds:
-            with fresh_circuit() as circuit:
-                ins = [inp_at(t, name=f"i{k}") for k, t in enumerate(values)]
-                bitonic_sorter(
-                    ins, output_names=[f"o{k}" for k in range(len(values))]
-                )
-            try:
-                events = Simulation(circuit).simulate(
-                    variability={"stddev": sigma}, seed=seed
-                )
-            except SimulationError:
-                outcome["viol"] += 1
-                continue
-            if bitonic_rank_order(events, len(values)):
-                outcome["ok"] += 1
-            else:
-                outcome["mis"] += 1
-        rows.append(SweepRow(sigma, outcome["ok"], outcome["mis"], outcome["viol"]))
-    return rows
+    """One row per sigma: how many ``seeds`` sort, mis-sort or violate.
+
+    A seed's run is ``simulate(variability={"stddev": sigma}, seed=seed)``,
+    which is what :func:`repro.core.montecarlo.yield_curve` classifies.
+    """
+    results = yield_curve(
+        partial(bitonic_circuit, tuple(values)),
+        partial(bitonic_rank_order, n=len(values)),
+        sigmas,
+        seeds,
+    )
+    return [
+        SweepRow(r.sigma, r.passed, r.mis_behaved, r.violations)
+        for r in results
+    ]
 
 
 def render(rows: List[SweepRow]) -> str:

@@ -16,7 +16,8 @@ Two caches make repeated analysis of identical designs nearly free:
   simulation;
 * the **result store** — a :class:`repro.cache.TieredCache` — maps
   :func:`repro.core.ir.result_cache_key` — the ``(structural_hash, sigma,
-  n_seeds, seed0, batch)`` tuple — to the served result. Identical designs
+  n_seeds, seed0, batch)`` tuple plus the hash and noise-stream versions —
+  to the served result. Identical designs
   submitted by different clients (or the same design under a different
   name) hit the same entry, and a ``/critical_sigma`` bisection populates
   the same cache its ``/yield`` siblings read. With ``cache_dir`` set the

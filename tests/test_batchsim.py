@@ -326,7 +326,7 @@ class TestScalarNoise:
     def test_raw_draws_match_the_lane(self, seeds, lane, draws):
         lane %= len(seeds)
         wide = CounterNoise.for_seeds(seeds)
-        scalar = ScalarNoise(seeds[lane], VariabilitySpec(), None)
+        scalar = ScalarNoise(seeds[lane], VariabilitySpec())
         for kind, index, count, choices in draws:
             for _ in range(count):
                 if kind == "normal":
@@ -359,10 +359,10 @@ class TestScalarNoise:
         lane %= len(seeds)
         cell = "JTL" if perturbed else "DFF"
         spec = VariabilitySpec.normalize(
-            dict(variability, cell_types=["JTL"], scheme="counter")
+            dict(variability, cell_types=["JTL"])
         )
         wide = CounterNoise.for_seeds(seeds)
-        scalar = ScalarNoise(seeds[lane], spec, None)
+        scalar = ScalarNoise(seeds[lane], spec)
         for index, delay in firings:
             node = SimpleNamespace(
                 name=f"n{index}", element=SimpleNamespace(name=cell)
@@ -381,7 +381,7 @@ class TestScalarNoise:
         such a slip certain to show."""
         seeds = [-7, 0, 1, 2 ** 40, 12345, -(2 ** 33)]
         wide = CounterNoise.for_seeds(seeds)
-        scalars = [ScalarNoise(seed, VariabilitySpec(), None) for seed in seeds]
+        scalars = [ScalarNoise(seed, VariabilitySpec()) for seed in seeds]
         for _ in range(2000):
             row = wide.normal(5)
             for lane, scalar in enumerate(scalars):

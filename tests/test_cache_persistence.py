@@ -151,6 +151,40 @@ def test_explore_sweep_warms_the_serve_store(tmp_path):
     )
 
 
+def test_results_stored_under_other_noise_streams_are_misses(tmp_path):
+    """Yield keys name the noise-stream layout, so an entry stored under
+    a key without it (as every key was before hole designs drew counter
+    streams) misses instead of serving a yield the current streams no
+    longer produce; a result stored under the current key hits."""
+    from repro.cache import DiskCache
+    from repro.core import ir
+    from repro.core.batchsim import STREAM_LAYOUT
+
+    params = {"words": 2, "bits": 1}
+    engine = ExploreEngine(cache_dir=tmp_path)
+    digest = engine.resolve("memory", params).digest
+    key = ir.result_cache_key(digest, sigma=0.5, n_seeds=5)
+    assert STREAM_LAYOUT in key
+    stale = YieldResult(
+        sigma=0.5, runs=5, passed=0, mis_behaved=5, violations=0,
+        failures={seed: "mis-behaved" for seed in range(5)},
+    )
+    old_key = (ir._HASH_VERSION, digest, 0.5, 5, 0, "auto")
+    DiskCache(tmp_path, RESULTS_NAMESPACE).put(
+        old_key, yield_result_to_jsonable(stale)
+    )
+
+    point = engine.measure("memory", params, sigma=0.5, n_seeds=5)
+    assert not point.cached
+    assert point.result != stale
+    assert engine.computations == 1
+
+    warm = ExploreEngine(cache_dir=tmp_path)
+    again = warm.measure("memory", params, sigma=0.5, n_seeds=5)
+    assert again.cached
+    assert again.result == point.result
+
+
 # -- lint: finished reach analyses survive restarts --------------------
 def test_reach_analysis_persists_and_is_identical(tmp_path):
     entry = next(e for e in registry() if e.name == "Min-Max")

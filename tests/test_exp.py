@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core.transitional import Transitional
-from repro.exp import dynamic_checks, figures, registry as registry_mod, table2, table3
+from repro.exp import (
+    dynamic_checks, figures, registry as registry_mod, table2, table3,
+    variability,
+)
 from repro.exp.registry import build_in_fresh_circuit, pylse_stats, registry
 
 
@@ -136,6 +139,22 @@ class TestDynamicChecks:
     def test_variability_check_small(self):
         outcome = dynamic_checks.check_variability(seeds=(0, 1), sigma=0.3)
         assert outcome.passed, outcome.detail
+
+    def test_variability_check_reports_failing_seeds(self):
+        outcome = dynamic_checks.check_variability(seeds=range(20), sigma=1.0)
+        assert not outcome.passed
+        assert outcome.detail == (
+            "failures=[(7, 'mis-behaved'), (16, 'mis-behaved')]"
+        )
+
+    def test_variability_sweep_pass_counts(self):
+        """The EXPERIMENTS.md table: seeds 0-19 per sigma, each run on
+        the same counter streams ``yield_curve`` and ``simulate`` draw."""
+        rows = variability.run()
+        assert [row.sigma for row in rows] == list(variability.DEFAULT_SIGMAS)
+        assert [row.ok for row in rows] == [20, 20, 20, 18, 10, 3]
+        assert all(row.violations == 0 for row in rows)
+        assert all(row.total == 20 for row in rows)
 
     def test_join_interleaving_detects_violation(self):
         events = {

@@ -3,11 +3,16 @@
 import pytest
 
 from repro.core.circuit import Circuit, fresh_circuit
-from repro.core.errors import PylseError
+from repro.core.errors import PylseError, SimulationError
+from repro.core.functional import hole
 from repro.core.helpers import inp_at
 from repro.core.montecarlo import critical_sigma, measure_yield, yield_curve
+from repro.core.parallel import MIS_BEHAVED, OK, VIOLATION, classify_seed
+from repro.core.simulation import Simulation
+from repro.core.timing import Uniform
 from repro.designs import min_max
-from repro.sfq import dro
+from repro.exp.dynamic_checks import bitonic_circuit, bitonic_rank_order
+from repro.sfq import dro, jtl
 
 
 def minmax_factory() -> Circuit:
@@ -70,6 +75,70 @@ class TestYieldCurve:
         )
         assert curve[0].yield_fraction >= curve[1].yield_fraction
         assert [r.sigma for r in curve] == [0.0, 15.0]
+
+
+@hole(delay=4.0, inputs=["a", "b"], outputs=["q"])
+def either(a, b, time):
+    return a or b
+
+
+def hole_factory() -> Circuit:
+    """A ``Functional`` hole feeding a clocked DRO: ineligible for the
+    batched drain, and noisy enough to sort, mis-order and violate."""
+    with fresh_circuit() as circuit:
+        q = either(inp_at(10.0, name="A"), inp_at(30.0, name="B"))
+        data = jtl(q, firing_delay=Uniform(4.0, 6.0))
+        dro(data, inp_at(21.5, 44.0, name="CLK"), name="Q")
+        jtl(inp_at(20.0, name="C"), name="R")
+    return circuit
+
+
+def hole_ok(events) -> bool:
+    return len(events["Q"]) == 2 and events["Q"][0] - events["R"][0] < 2.0
+
+
+def _outcomes(result, seeds):
+    return [result.failures.get(seed, OK) for seed in seeds]
+
+
+class TestOneNoiseScheme:
+    """A plain seeded ``simulate`` and every Monte-Carlo path draw the
+    same per-(seed, node) counter streams, so they classify alike."""
+
+    def test_plain_simulate_classifies_bitonic8_like_measure_yield(self):
+        times = (20, 70, 10, 45, 5, 90, 33, 60)
+        seeds = range(20)
+        plain = []
+        for seed in seeds:
+            try:
+                events = Simulation(bitonic_circuit(times)).simulate(
+                    variability={"stddev": 1.0}, seed=seed
+                )
+            except SimulationError:
+                plain.append(VIOLATION)
+                continue
+            plain.append(OK if bitonic_rank_order(events, 8) else MIS_BEHAVED)
+        result = measure_yield(
+            lambda: bitonic_circuit(times),
+            lambda events: bitonic_rank_order(events, 8),
+            1.0,
+            seeds,
+        )
+        assert plain == _outcomes(result, seeds)
+        assert plain.count(OK) == 18
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    def test_hole_circuit_paths_agree_seed_for_seed(self, sigma):
+        seeds = range(40)
+        batched = measure_yield(hole_factory, hole_ok, sigma, seeds)
+        per_seed = measure_yield(hole_factory, hole_ok, sigma, seeds, batch=0)
+        reference = [
+            classify_seed(hole_factory, hole_ok, sigma, seed) for seed in seeds
+        ]
+        assert _outcomes(batched, seeds) == reference
+        assert _outcomes(per_seed, seeds) == reference
+        assert batched.divergence == {"ineligible": len(seeds)}
+        assert {OK, MIS_BEHAVED, VIOLATION} <= set(reference)
 
 
 class TestCriticalSigma:
